@@ -18,7 +18,7 @@ from .graph import (NEVER, CentralityScores, PeerTags, TemporalNetwork,
                     second_degree_at, second_degree_counts, tag_peers,
                     week_of_unix)
 from .panel import (AdoptionSchedule, GroupAssignment, PanelConfig,
-                    PanelDataset, PlaytimeRow, assign_groups, build_panel,
+                    PanelDataset, assign_groups, build_panel,
                     build_playtime_crosssection, derive_schedule,
                     expected_row_count, first_purchasing_friend)
 from .estimator import (DesignSpec, FitResult, WithinResult, anderson_rubin,
@@ -37,7 +37,7 @@ __all__ = [
     "InsufficientClustersError", "InsufficientPoolError",
     "InvalidParameterError", "NEVER", "NotFoundError", "PanelConfig",
     "PanelDataset",
-    "ParseError", "PeerEffectsError", "PeerTags", "PlaytimeRow",
+    "ParseError", "PeerEffectsError", "PeerTags",
     "RankDeficientError", "SimConfig", "SimOutput", "SimTruth",
     "TemporalNetwork", "WeakIdentificationError", "WithinResult",
     "anderson_rubin", "assign_groups", "build_network", "build_panel",

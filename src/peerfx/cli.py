@@ -367,14 +367,14 @@ def cmd_playtime(cfg: RunConfig) -> int:
     diagnostics = {}
     rows = build_playtime_crosssection(net, schedules, tags, playtimes,
                                        covariates, diagnostics)
-    if not rows:
+    if len(rows) == 0:
         raise ConfigError("empty playtime cross-section")
     fits = [("(1) All", estimator.playtime_fit(rows, variant=1, threads=cfg.threads)),
             ("(2) All", estimator.playtime_fit(rows, variant=2, threads=cfg.threads))]
     named = [("playtime_v1", fits[0][1]), ("playtime_v2", fits[1][1])]
     for k, game in enumerate(games[:2], start=3):
-        sub = [r for r in rows if r.game == game]
-        if not sub:
+        sub = rows[rows.game == game]
+        if len(sub) == 0:
             continue
         fit = estimator.playtime_fit(sub, variant=k, threads=cfg.threads)
         fits.append((f"({k}) {game}", fit))

@@ -477,7 +477,8 @@ PLAYTIME_COVARIATES = ("num_games", "num_groups", "start_week", "num_friends",
 def playtime_fit(rows, variant: int = 2, threads: int = 1) -> FitResult:
     """Cross-sectional OLS of log playtime with HC1 standard errors.
 
-    Variants select the peer dummies: 1 = no_friend_purchase only; 2/3/4 =
+    ``rows`` is the record array from ``build_playtime_crosssection`` (any
+    table indexed by field name will do).  Variants select the peer dummies: 1 = no_friend_purchase only; 2/3/4 =
     kp_purchase + of_purchase + no_friend_purchase (3 and 4 are meant for
     game-restricted row subsets — the caller filters the rows).  The
     covariate vector and an intercept always enter; covariates without
@@ -485,16 +486,13 @@ def playtime_fit(rows, variant: int = 2, threads: int = 1) -> FitResult:
     """
     if variant not in (1, 2, 3, 4):
         raise InvalidParameterError("variant must be 1..4")
-    if not rows:
+    if len(rows) == 0:
         raise InvalidParameterError("empty playtime cross-section")
     dummies = ("no_friend_purchase",) if variant == 1 else \
         ("kp_purchase", "of_purchase", "no_friend_purchase")
     names = (*dummies, *PLAYTIME_COVARIATES)
-    table = {name: np.asarray([getattr(r, name) for r in rows], dtype=np.float64)
-             for name in names}
-    table["log_playtime"] = np.asarray([r.log_playtime for r in rows], dtype=np.float64)
     spec = DesignSpec(outcome="log_playtime", exog=names, fixed_effects=(),
                       cluster=None)
-    fit = ols_fit(table, spec, threads=threads)
+    fit = ols_fit(rows, spec, threads=threads)
     fit.model = f"playtime_v{variant}"
     return fit

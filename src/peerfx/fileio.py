@@ -262,14 +262,13 @@ def read_panel_csv(path, meta_path=None):
         want = ["player", "week", *PANEL_COLUMNS]
         if header != want:
             raise ParseError(f"{path}: expected header {','.join(want)}, got {','.join(header)}", 1)
+        # ids stay int64: Steam ids exceed float64's exact-integer range
+        dtype = [("player", np.int64), ("week", np.int64),
+                 *((name, np.float64) for name in PANEL_COLUMNS)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on header-only files
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-    if data.size == 0:
-        data = data.reshape(0, len(want))
-    columns = {"player": data[:, 0].astype(np.int64), "week": data[:, 1].astype(np.int64)}
-    for k, name in enumerate(PANEL_COLUMNS):
-        columns[name] = np.ascontiguousarray(data[:, 2 + k])
+            data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
+    columns = {name: np.ascontiguousarray(data[name]) for name in want}
     if meta_path is None:
         candidate = os.fspath(path) + ".meta.json"
         meta = read_json(candidate) if os.path.exists(candidate) else {}

@@ -11,7 +11,7 @@ the heterogeneity regressors are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -372,7 +372,8 @@ class PeerTags:
     The reference week defaults to ``release_week - 4`` (tags are fixed
     before the panel window for exogeneity).  ``old_friend_pairs`` holds
     player-id pairs with a < b; ``old_friend_cutoff`` is the formation-week
-    boundary the pairs satisfy, kept for fast bulk checks.
+    boundary the pairs satisfy, so an edge is an old-friend edge exactly
+    when it formed by the cutoff.
     """
 
     key_players: np.ndarray
@@ -381,34 +382,14 @@ class PeerTags:
     old_friend_cutoff: int
     percentile: float
     threshold: float
-    _kp_set: set = field(default=None, repr=False, compare=False)
 
     def is_key_player(self, player) -> np.ndarray | bool:
-        if np.isscalar(player):
-            if self._kp_set is None:
-                self._kp_set = set(int(p) for p in self.key_players)
-            return int(player) in self._kp_set
         player = np.asarray(player, dtype=np.int64)
         pos = np.searchsorted(self.key_players, player)
         pos = np.minimum(pos, max(self.key_players.size - 1, 0))
         if self.key_players.size == 0:
             return np.zeros(player.shape, dtype=bool)
         return self.key_players[pos] == player
-
-    def is_old_friend(self, a, b) -> np.ndarray | bool:
-        scalar = np.isscalar(a) and np.isscalar(b)
-        a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-        b = np.atleast_1d(np.asarray(b, dtype=np.int64))
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        m = self.old_friend_pairs
-        if m.size == 0:
-            out = np.zeros(lo.shape, dtype=bool)
-            return bool(out[0]) if scalar else out
-        keys = m[:, 0] * (2**32) + m[:, 1]
-        want = lo * (2**32) + hi
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        out = keys[pos] == want
-        return bool(out[0]) if scalar else out
 
 
 def tag_peers(net: TemporalNetwork, scores: CentralityScores, release_week: int,

@@ -335,6 +335,14 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, keep_level1=None,
     return prow, k, w2, f_direct
 
 
+def _key_player_mask(net: TemporalNetwork, tags: PeerTags) -> np.ndarray:
+    """Key-player flag per dense node index; the tags must come from ``net``."""
+    mask = np.zeros(net.n_nodes, dtype=bool)
+    if tags.key_players.size:
+        mask[net.indices_of(tags.key_players)] = True
+    return mask
+
+
 def _interval_add(diff, rows, start, end, W):
     """diff-array += 1 on [start, end) per row, clipped to [0, W)."""
     start = np.maximum(start, 0)
@@ -391,9 +399,7 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     grids = {n: np.zeros((P, W), dtype=np.int32) for n in names}
     denoms = {n: np.zeros((P, W), dtype=np.int32) for n in names} if mean_mode else None
 
-    kp_flag = np.zeros(net.n_nodes, dtype=bool)
-    if tags.key_players.size:
-        kp_flag[net.indices_of(tags.key_players)] = True
+    kp_flag = _key_player_mask(net, tags)
     p_all = schedule.weeks_for(net.nodes)  # purchase week per dense index
 
     for s in range(0, P, block):
@@ -459,16 +465,13 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
 
     # --- y from own purchase weeks
     p_own = p_all[sample_idx_all]
-    y_grid = np.zeros((P, W), dtype=np.int8)
-    has = p_own != NEVER
     if absorbing:
-        cols = np.maximum(p_own[has] - w0, 0)
-        inwin = p_own[has] <= w1
-        rs = np.nonzero(has)[0][inwin]
-        cs = cols[inwin]
-        for r, c in zip(rs, cs):
-            y_grid[r, c:] = 1
+        # owned from the purchase column on; no in-window purchase -> column W
+        start = np.where(p_own <= w1, np.maximum(p_own - w0, 0), W)
+        y_grid = (np.arange(W) >= start[:, None]).astype(np.int8)
     else:
+        y_grid = np.zeros((P, W), dtype=np.int8)
+        has = p_own != NEVER
         cols = p_own[has] - w0
         ok = (cols >= 0) & (cols < W)
         y_grid[np.nonzero(has)[0][ok], cols[ok]] = 1
@@ -513,22 +516,60 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     return PanelDataset(player_col, week_col, columns, (w0, w1), cfg, meta)
 
 
-@dataclass
-class PlaytimeRow:
-    """One player-game observation of the post-adoption intensity table."""
+PLAYTIME_DTYPE = np.dtype([
+    ("player", np.int64), ("game", object), ("log_playtime", np.float64),
+    ("kp_purchase", np.int64), ("of_purchase", np.int64),
+    ("no_friend_purchase", np.int64), ("num_games", np.float64),
+    ("num_groups", np.float64), ("start_week", np.float64),
+    ("num_friends", np.int64), ("owns_smb", np.int64), ("owns_nv", np.int64)])
 
-    player: int
-    game: str
-    log_playtime: float
-    kp_purchase: int
-    of_purchase: int
-    no_friend_purchase: int
-    num_games: float
-    num_groups: float
-    start_week: float
-    num_friends: int
-    owns_smb: int
-    owns_nv: int
+
+def _lookup(sorted_ids: np.ndarray, ids: np.ndarray):
+    """Positions of ``ids`` in ``sorted_ids`` and whether each is present."""
+    if sorted_ids.size == 0:
+        return np.zeros(ids.shape, dtype=np.int64), np.zeros(ids.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
+    return pos, sorted_ids[pos] == ids
+
+
+def _first_friend(net: TemporalNetwork, p_all: np.ndarray, idx: np.ndarray):
+    """Earliest-purchasing friend of each dense node index in ``idx``.
+
+    ``p_all`` is the purchase week per dense index (NEVER for none).  A
+    friend qualifies when the edge formed no later than the node's own
+    purchase week and the friend purchased STRICTLY earlier; ties on the
+    purchase week break to the smallest dense index, i.e. the smallest id.
+    Returns (friend index, formed week of that edge), -1 / NEVER when no
+    friend qualifies or the node has no purchase.
+    """
+    rows, j, f = _gather_edges(net, idx)
+    own, p_j = p_all[idx][rows], p_all[j]
+    keep = (own != NEVER) & (f <= own) & (p_j < own)
+    rows, j, f, p_j = rows[keep], j[keep], f[keep], p_j[keep]
+    order = np.lexsort((j, p_j, rows))
+    rows, j, f = rows[order], j[order], f[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    friend = np.full(idx.size, -1, dtype=np.int64)
+    formed = np.full(idx.size, NEVER, dtype=np.int64)
+    friend[rows[first]] = j[first]
+    formed[rows[first]] = f[first]
+    return friend, formed
+
+
+def _first_friend_dummies(net: TemporalNetwork, tags: PeerTags, kp_mask: np.ndarray,
+                         p_all: np.ndarray, idx: np.ndarray):
+    """(kp_purchase, of_purchase, no_friend_purchase) booleans per node in ``idx``.
+
+    The first purchasing friend (see :func:`_first_friend`) is a key player
+    per the dense ``kp_mask``; it is an old friend when the connecting edge
+    formed by ``tags.old_friend_cutoff``.  The simulator plants playtime
+    effects and the cross-section builder recovers them through this one
+    rule.
+    """
+    friend, formed = _first_friend(net, p_all, idx)
+    none = friend < 0
+    return kp_mask[friend] & ~none, formed <= tags.old_friend_cutoff, none
 
 
 def first_purchasing_friend(net: TemporalNetwork, schedule: AdoptionSchedule,
@@ -540,89 +581,62 @@ def first_purchasing_friend(net: TemporalNetwork, schedule: AdoptionSchedule,
     week break to the smallest player id.  Players without an own purchase
     week get -1.
     """
-    out = np.full(len(players), -1, dtype=np.int64)
-    idx = net.indices_of(players)
-    p_own = schedule.weeks_for(players)
-    for q, (ix, pw) in enumerate(zip(idx, p_own)):
-        if pw == NEVER:
-            continue
-        lo, hi = net.indptr[ix], net.indptr[ix + 1]
-        good = net.formed[lo:hi] <= pw
-        js = net.nbr[lo:hi][good]
-        if js.size == 0:
-            continue
-        ids = net.nodes[js]
-        pj = schedule.weeks_for(ids)
-        earlier = pj < pw
-        if not earlier.any():
-            continue
-        ids, pj = ids[earlier], pj[earlier]
-        best = np.lexsort((ids, pj))[0]
-        out[q] = ids[best]
-    return out
+    friend, _ = _first_friend(net, schedule.weeks_for(net.nodes), net.indices_of(players))
+    return np.where(friend >= 0, net.nodes[friend], -1)
 
 
 def build_playtime_crosssection(net: TemporalNetwork, schedule_by_game: dict,
                                 tags: PeerTags, playtimes: dict,
                                 covariates: dict,
-                                diagnostics: dict | None = None) -> list:
-    """Build PlaytimeRows for every recorded (player, game) playtime.
+                                diagnostics: dict | None = None) -> np.recarray:
+    """Playtime cross-section: one record per kept (player, game) playtime.
 
     ``playtimes`` maps (player, game) -> minutes; ``covariates`` is the
-    columnar dict from the covariates CSV.  Players without an own purchase
-    week for the game, with playtime below one minute, or without covariates
-    are excluded (counts reported in ``diagnostics`` when a dict is passed).
-    Log playtime is over hours floored at 1 (so logs are >= 0).
+    columnar dict from the covariates CSV.  Records follow sorted (player,
+    game) order with the fields of ``PLAYTIME_DTYPE``.  Players outside the
+    network, without an own purchase week for the game, with playtime below
+    one minute, or without covariates are excluded, each counted under the
+    first of those reasons (in ``diagnostics`` when a dict is passed).  Log
+    playtime is over hours floored at 1 (so logs are >= 0).
     """
-    diag = {"no_purchase": 0, "below_minimum": 0, "no_covariates": 0,
-            "not_in_network": 0}
-    cov_players = covariates["player"]
-    deg_all = net.degrees()
+    keys = sorted(playtimes)
+    player = np.array([p for p, _ in keys], dtype=np.int64)
+    game = np.array([g for _, g in keys], dtype=object)
+    minutes = np.array([playtimes[k] for k in keys], dtype=np.float64)
 
-    first_cache = {}
-    for game, schedule in schedule_by_game.items():
-        inside = schedule.players[np.isin(schedule.players, net.nodes)]
-        firsts = first_purchasing_friend(net, schedule, inside)
-        first_cache[game] = dict(zip(inside.tolist(), firsts.tolist()))
-
-    rows = []
-    for (player, game) in sorted(playtimes):
-        minutes = playtimes[(player, game)]
-        pos_n = int(np.searchsorted(net.nodes, player))
-        if pos_n >= net.nodes.size or net.nodes[pos_n] != player:
-            diag["not_in_network"] += 1
-            continue
-        schedule = schedule_by_game.get(game)
-        own = schedule.week_of(player) if schedule is not None else None
-        if own is None:
-            diag["no_purchase"] += 1
-            continue
-        if minutes < 1:
-            diag["below_minimum"] += 1
-            continue
-        pos = int(np.searchsorted(cov_players, player))
-        if pos >= cov_players.size or cov_players[pos] != player:
-            diag["no_covariates"] += 1
-            continue
-        friend = first_cache[game].get(player, -1)
-        if friend < 0:
-            kp = of = 0
-            nf = 1
-        else:
-            kp = int(tags.is_key_player(friend))
-            of = int(tags.is_old_friend(player, friend))
-            nf = 0
-        owns_smb = int("SMB" in schedule_by_game and schedule_by_game["SMB"].week_of(player) is not None)
-        owns_nv = int("NV" in schedule_by_game and schedule_by_game["NV"].week_of(player) is not None)
-        rows.append(PlaytimeRow(
-            player=int(player), game=game,
-            log_playtime=float(np.log(max(minutes / 60.0, 1.0))),
-            kp_purchase=kp, of_purchase=of, no_friend_purchase=nf,
-            num_games=float(covariates["num_games"][pos]),
-            num_groups=float(covariates["num_groups"][pos]),
-            start_week=float(covariates["start_week"][pos]),
-            num_friends=int(deg_all[pos_n]),
-            owns_smb=owns_smb, owns_nv=owns_nv))
+    own = np.full(player.size, NEVER, dtype=np.int64)
+    for g, schedule in schedule_by_game.items():
+        hit = game == g
+        own[hit] = schedule.weeks_for(player[hit])
+    node_pos, in_net = _lookup(net.nodes, player)
+    cov_pos, has_cov = _lookup(covariates["player"], player)
+    keep = np.ones(player.size, dtype=bool)
+    diag = {}
+    for reason, bad in (("not_in_network", ~in_net), ("no_purchase", own == NEVER),
+                        ("below_minimum", minutes < 1), ("no_covariates", ~has_cov)):
+        diag[reason] = int((keep & bad).sum())
+        keep &= ~bad
     if diagnostics is not None:
         diagnostics.update(diag)
-    return rows
+
+    player, game, minutes = player[keep], game[keep], minutes[keep]
+    node_pos, cov_pos = node_pos[keep], cov_pos[keep]
+    kp, of, nf = (np.zeros(player.size, dtype=bool) for _ in range(3))
+    kp_mask = _key_player_mask(net, tags)
+    for g, schedule in schedule_by_game.items():
+        hit = game == g
+        kp[hit], of[hit], nf[hit] = _first_friend_dummies(
+            net, tags, kp_mask, schedule.weeks_for(net.nodes), node_pos[hit])
+
+    def owns(g):
+        schedule = schedule_by_game.get(g)
+        if schedule is None:
+            return np.zeros(player.size, dtype=bool)
+        return schedule.weeks_for(player) != NEVER
+
+    return np.rec.fromarrays(
+        [player, game, np.log(np.maximum(minutes / 60.0, 1.0)), kp, of, nf,
+         covariates["num_games"][cov_pos], covariates["num_groups"][cov_pos],
+         covariates["start_week"][cov_pos], net.degrees()[node_pos],
+         owns("SMB"), owns("NV")],
+        dtype=PLAYTIME_DTYPE)

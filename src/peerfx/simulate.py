@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GenerationFailedError, InvalidParameterError
 from .graph import (DEFAULT_DEGREE_CAP, TemporalNetwork, build_network,
                     katz_centrality, tag_peers)
-from .panel import AdoptionSchedule, first_purchasing_friend
+from .panel import AdoptionSchedule, _first_friend_dummies, _key_player_mask
 
 _NEVER_WEEK = np.int64(2**31 - 1)
 
@@ -367,25 +367,20 @@ def simulate_playtime(net: TemporalNetwork, schedules: dict, tags, cfg: SimConfi
             + load.get("num_groups", 0.0) * cov["num_groups"]
             + load.get("start_week", 0.0) * cov["start_week"]
             + load.get("num_friends", 0.0) * deg)
+    kp_mask = _key_player_mask(net, tags)
     playtimes = {}
     for game in sorted(schedules):
         sched = schedules[game]
         noise = rng.normal(0.0, truth.noise_sd, P)
         if sched.players.size == 0:
             continue
-        firsts = first_purchasing_friend(net, sched, sched.players)
-        has_first = firsts >= 0
-        kp = np.zeros(sched.players.size, dtype=bool)
-        of = np.zeros(sched.players.size, dtype=bool)
-        if has_first.any():
-            kp[has_first] = tags.is_key_player(firsts[has_first])
-            pairs = np.column_stack([sched.players[has_first], firsts[has_first]])
-            of[has_first] = tags.is_old_friend(pairs[:, 0], pairs[:, 1])
         pos = net.indices_of(sched.players)
+        kp, of, nf = _first_friend_dummies(net, tags, kp_mask,
+                                           sched.weeks_for(net.nodes), pos)
         logpt = (base[pos]
                  + truth.gamma_kp * kp
                  + truth.gamma_of * of
-                 + truth.gamma_nofriend * (~has_first)
+                 + truth.gamma_nofriend * nf
                  + noise[pos])
         minutes = np.maximum(np.rint(np.exp(logpt) * 60.0), 1.0).astype(np.int64)
         for pid, m in zip(sched.players.tolist(), minutes.tolist()):
@@ -424,9 +419,7 @@ def run_simulation(cfg: SimConfig, truth: SimTruth | None = None,
     scores = katz_centrality(net, cfg.reference_week)
     tags = tag_peers(net, scores, cfg.release_week,
                      percentile=1.0 - cfg.key_player_share)
-    kp_mask = np.zeros(net.n_nodes, dtype=bool)
-    if tags.key_players.size:
-        kp_mask[net.indices_of(tags.key_players)] = True
+    kp_mask = _key_player_mask(net, tags)
     game_list = list(dict.fromkeys((cfg.game, *games)))
     schedules = {g: simulate_adoption(net, cfg, truth, rng, kp_mask=kp_mask, game=g)
                  for g in game_list}

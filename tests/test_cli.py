@@ -165,6 +165,30 @@ def test_build_panel_output_shape(panel_path):
     assert set(np.unique(cols["week"])) == set(range(11, 30))
 
 
+STEAM_BASE = 76561197960265728  # 64-bit Steam id of account 0
+
+
+def test_estimate_keeps_steam_scale_ids(panel_path, tmp_path):
+    # Steam ids exceed 2**53; a float64 parse of the panel would merge
+    # neighbouring players into one fixed effect and one cluster
+    lines = panel_path.read_text().splitlines(keepends=True)
+    shifted = tmp_path / "panel_steam.csv"
+    shifted.write_text(lines[0] + "".join(
+        f"{int(player) + STEAM_BASE},{rest}"
+        for player, rest in (line.split(",", 1) for line in lines[1:])))
+    shutil.copy(f"{panel_path}.meta.json", f"{shifted}.meta.json")
+    small, _ = fileio.read_panel_csv(panel_path)
+    steam, _ = fileio.read_panel_csv(shifted)
+    assert steam["player"].tolist() == [p + STEAM_BASE for p in small["player"].tolist()]
+    assert np.unique(steam["player"]).size == np.unique(small["player"]).size
+    for path, name in ((panel_path, "small"), (shifted, "steam")):
+        assert main(["estimate", "--panel", str(path),
+                     "--out", str(tmp_path / name)]) == 0
+    for fname in ("estimates.csv", "report.txt"):
+        assert (tmp_path / "small" / fname).read_bytes() == \
+            (tmp_path / "steam" / fname).read_bytes()
+
+
 def test_estimate_outputs_match_api(panel_path, tmp_path, capsys):
     out = tmp_path / "est"
     assert main(["estimate", "--panel", str(panel_path),

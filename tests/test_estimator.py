@@ -22,7 +22,7 @@ from peerfx import (
     tsls_fit,
     within_transform,
 )
-from peerfx.panel import PlaytimeRow
+from peerfx.panel import PLAYTIME_DTYPE
 
 from conftest import (
     cr1_sandwich_fractions,
@@ -432,16 +432,14 @@ def make_rows(rng, n=20, flat_nv=True):
         kp = int(rng.random() < 0.3)
         of = int(rng.random() < 0.3)
         nf = int(kp == 0 and of == 0 and rng.random() < 0.5)
-        rows.append(PlaytimeRow(
-            player=i, game="SMB",
-            log_playtime=float(rng.normal(2.8, 1.0)),
-            kp_purchase=kp, of_purchase=of, no_friend_purchase=nf,
-            num_games=float(rng.integers(1, 40)),
-            num_groups=float(rng.integers(0, 8)),
-            start_week=float(rng.integers(0, 50)),
-            num_friends=int(rng.integers(1, 30)),
-            owns_smb=1, owns_nv=0 if flat_nv else int(rng.random() < 0.5)))
-    return rows
+        # fields in PLAYTIME_DTYPE order: player, game, log_playtime, the
+        # three dummies, num_games, num_groups, start_week, num_friends,
+        # owns_smb, owns_nv
+        rows.append((i, "SMB", float(rng.normal(2.8, 1.0)), kp, of, nf,
+                     float(rng.integers(1, 40)), float(rng.integers(0, 8)),
+                     float(rng.integers(0, 50)), int(rng.integers(1, 30)),
+                     1, 0 if flat_nv else int(rng.random() < 0.5)))
+    return np.rec.array(rows, dtype=PLAYTIME_DTYPE)
 
 
 def test_playtime_variant_terms():
@@ -459,10 +457,10 @@ def test_playtime_matches_dense_regression():
     rng = np.random.default_rng(28)
     rows = make_rows(rng, flat_nv=False)
     fit = playtime_fit(rows, variant=2)
-    cols = [np.array([getattr(r, t) for r in rows], dtype=np.float64)
+    cols = [np.asarray(rows[t], dtype=np.float64)
             for t in fit.terms if t != "const"]
     D = np.column_stack(cols + [np.ones(len(rows))])
-    y = np.array([r.log_playtime for r in rows])
+    y = np.asarray(rows["log_playtime"])
     want, *_ = np.linalg.lstsq(D, y, rcond=None)
     assert np.abs(fit.coef - want).max() < 1e-8
     u = y - D @ fit.coef

@@ -205,8 +205,6 @@ def test_tag_peers_old_friend_boundary():
     net2 = build_network([(1, 2, 0), (2, 3, 9)])
     tags2 = tag_peers(net2, katz_centrality(net2, 56, alpha=0.1), 60)
     assert tags2.old_friend_pairs.tolist() == [[1, 2]]
-    assert tags2.is_old_friend(2, 1)
-    assert not tags2.is_old_friend(2, 3)
 
 
 def test_tag_peers_release_too_early():

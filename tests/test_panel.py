@@ -521,7 +521,7 @@ def test_playtime_exclusion_diagnostics():
     diag = {}
     rows = build_playtime_crosssection(net, sched, make_tags(), playtimes,
                                        cov_for([1, 2]), diagnostics=diag)
-    assert rows == []
+    assert len(rows) == 0
     assert diag == {"no_purchase": 1, "below_minimum": 1, "no_covariates": 1,
                     "not_in_network": 1}
 
@@ -535,21 +535,30 @@ def test_playtime_log_floors_at_one_hour():
     assert rows[0].log_playtime == 0.0
 
 
-def test_playtime_rows_match_scan_oracle():
-    rng = np.random.default_rng(21)
+@pytest.mark.parametrize("ids", [lambda k: k,
+                                 lambda k: 10**17 + 12345 + 2**33 * k],
+                         ids=["small_ids", "steam_scale_ids"])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_playtime_rows_match_scan_oracle(seed, ids):
+    # The second layout puts ids above 2**53 and spaces them by 2**33, so
+    # any id packing or float round-trip in the builder shows up here.
+    # Seed 21 has no kept row whose first friend is an old friend; seed 22
+    # has three, so the old-friend flag is checked at both values.
+    rng = np.random.default_rng(seed)
     n = 100
-    edges = random_edges(rng, n, 260, max_week=20)
+    edges = [(ids(a), ids(b), w)
+             for a, b, w in random_edges(rng, n, 260, max_week=20)]
     net = build_network(edges)
     adj = adjacency_oracle(edges)
-    buyers = np.unique(rng.integers(0, n, 60))
+    buyers = ids(np.unique(rng.integers(0, n, 60)))
     weeks = rng.integers(0, 40, buyers.size).astype(np.int64)
     sched = {"SMB": AdoptionSchedule("SMB", buyers, weeks)}
     tags = tag_peers(net, katz_centrality(net, 26), 30, percentile=0.8,
                      min_age_weeks=18)
-    playtimes = {(int(p), "SMB"): int(rng.integers(1, 600))
+    playtimes = {(ids(int(p)), "SMB"): int(rng.integers(1, 600))
                  for p in rng.choice(n, 50, replace=False)}
     rows = build_playtime_crosssection(net, sched, tags, playtimes,
-                                       cov_for(range(n)))
+                                       cov_for([ids(k) for k in range(n)]))
     purchases = dict(zip(buyers.tolist(), weeks.tolist()))
     by_player = {r.player: r for r in rows}
     n_expected = 0

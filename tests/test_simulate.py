@@ -264,6 +264,7 @@ def test_playtime_reconstructs_exactly_without_noise():
     from peerfx import first_purchasing_friend
 
     net, tags, cov = out.network, out.tags, out.covariates
+    old_pairs = set(map(tuple, tags.old_friend_pairs.tolist()))
     deg = net.degrees()
     load = truth.playtime_loadings
     for game, sched in out.schedules.items():
@@ -279,7 +280,7 @@ def test_playtime_reconstructs_exactly_without_noise():
                 logpt += truth.gamma_nofriend
             else:
                 logpt += truth.gamma_kp * tags.is_key_player(int(firsts[q]))
-                logpt += truth.gamma_of * bool(
-                    tags.is_old_friend(pid, int(firsts[q])))
+                pair = tuple(sorted((pid, int(firsts[q]))))
+                logpt += truth.gamma_of * (pair in old_pairs)
             want = max(int(np.rint(np.exp(logpt) * 60.0)), 1)
             assert out.playtimes[(pid, game)] == want
