@@ -1,10 +1,13 @@
 """Fixed-effects linear-probability estimation with clustered inference.
 
-Player and week effects are absorbed by alternating within-group demeaning;
-coefficients come from normal equations with a pivoted decomposition (the
-regressor count is tiny, the row count is huge); covariance is the CR1
-cluster sandwich.  2SLS is just-identified only: beta = (Z'X)^-1 Z'y after
-demeaning, which keeps the reduced-form / first-stage ratio identity exact.
+Player and week effects are absorbed exactly: demean by player, then solve
+one small week-by-week least-squares system, with no iteration even on
+censored or disconnected panels; a PanelDataset demeans each column once for
+all its fits.  Coefficients come from normal equations with a pivoted
+decomposition (the regressor count is tiny, the row count is huge);
+covariance is the CR1 cluster sandwich.  2SLS is just-identified only:
+beta = (Z'X)^-1 Z'y after demeaning, which keeps the reduced-form /
+first-stage ratio identity exact.
 
 Cross products accumulate over fixed-size row blocks reduced in a fixed
 order, so results are bit-identical no matter how many threads compute the
@@ -28,9 +31,12 @@ _BLOCK_ROWS = 1 << 20  # fixed reduction block for deterministic accumulation
 _DEGENERATE_RTOL = 1e-8
 
 
+def _raw_col(panel, name: str):
+    return panel.column(name) if hasattr(panel, "column") else panel[name]
+
+
 def _get_col(panel, name: str) -> np.ndarray:
-    col = panel.column(name) if hasattr(panel, "column") else panel[name]
-    col = np.asarray(col, dtype=np.float64)
+    col = np.asarray(_raw_col(panel, name), dtype=np.float64)
     if not np.isfinite(col).all():
         raise InvalidParameterError(f"column {name!r} contains non-finite values")
     return col
@@ -63,52 +69,68 @@ def _crossprod(A: np.ndarray, B: np.ndarray, threads: int = 1) -> np.ndarray:
 
 @dataclass
 class WithinResult:
-    """Within-transformed column copies plus the demeaning diagnostics."""
+    """Within-transformed column copies; ``iterations`` is 1 with FE, 0 without."""
 
     columns: dict
     iterations: int
-    converged: bool
 
 
-def within_transform(panel, columns: Sequence[str], fe_dims=("player", "week"),
-                     tol: float = 1e-10, max_sweeps: int = 100) -> WithinResult:
-    """Alternating within-group demeaning until sup-norm convergence.
+def _fe_system(panel, dims: tuple):
+    """Group codes and sizes of ``dims[0]``; for two-way FE also the week
+    codes and the matrix diag(n_t) - C' diag(1/n_i) C, C the player-by-week
+    count matrix (the week block of the player-demeaned normal equations)."""
+    codes = _get_codes(panel, dims[0])
+    sizes = np.bincount(codes).astype(np.float64)
+    if len(dims) == 1:
+        return codes, sizes, None
+    weeks = _get_codes(panel, "week")
+    W = int(weeks.max(initial=-1)) + 1
+    C = np.bincount(codes * W + weeks, minlength=sizes.size * W)
+    C = C.reshape(sizes.size, W).astype(np.float64)
+    A = np.diag(np.bincount(weeks, minlength=W).astype(np.float64))
+    A -= _crossprod(C / sizes[:, None], C)
+    return codes, sizes, (weeks, A)
 
-    Each sweep demeans every column by each fixed-effect dimension in turn;
-    iteration stops when no value moved by ``tol`` or more during a full
-    sweep.  Originals are untouched.  Non-convergence is not fatal — the
-    flag is carried into any FitResult built from the output.
+
+def _demean(col: np.ndarray, codes, sizes, week_system) -> np.ndarray:
+    """Residual of ``col`` on the group dummies (plus the week dummies)."""
+    out = col - (np.bincount(codes, weights=col, minlength=sizes.size) / sizes)[codes]
+    if week_system is not None:
+        weeks, A = week_system
+        rhs = np.bincount(weeks, weights=out, minlength=A.shape[0])
+        g = np.linalg.lstsq(A, rhs, rcond=None)[0][weeks]
+        out -= g - (np.bincount(codes, weights=g, minlength=sizes.size) / sizes)[codes]
+    return out
+
+
+def within_transform(panel, columns: Sequence[str],
+                     fe_dims=("player", "week")) -> WithinResult:
+    """Exact residuals of ``columns`` on the ``fe_dims`` dummies.
+
+    One dimension is one group demeaning.  Two-way demeans by player, solves
+    the W x W week system (over weeks whatever the order of ``fe_dims``) by
+    ``lstsq``, exact also for disconnected panels, and subtracts the
+    player-demeaned week effects.  A PanelDataset keeps the system and each
+    result while ``panel.column(name)`` is the same array object, so replace
+    a column rather than write into it.  The returned columns are copies.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
     bad = [d for d in fe_dims if d not in ("player", "week")]
     if bad:
         raise InvalidParameterError(f"unknown fixed-effect dims: {bad}")
-    data = {name: _get_col(panel, name).copy() for name in columns}
-    if not fe_dims:
-        return WithinResult(data, 0, True)
-    groups = []
-    for dim in fe_dims:
-        codes = _get_codes(panel, dim)
-        counts = np.bincount(codes).astype(np.float64)
-        groups.append((codes, counts))
-    prev = {name: col.copy() for name, col in data.items()}
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_sweeps + 1):
-        for codes, counts in groups:
-            for col in data.values():
-                means = np.bincount(codes, weights=col) / counts
-                col -= means[codes]
-        change = 0.0
-        for name, col in data.items():
-            delta = float(np.abs(col - prev[name]).max()) if col.size else 0.0
-            change = max(change, delta)
-            prev[name][...] = col
-        if change < tol:
-            converged = True
-            break
-    return WithinResult(data, iterations, converged)
+    dims = tuple(sorted(set(fe_dims)))
+    if not dims:
+        return WithinResult({name: _get_col(panel, name).copy() for name in columns}, 0)
+    memo = getattr(panel, "_within", {})
+    if dims not in memo:
+        memo[dims] = _fe_system(panel, dims)
+    data = {}
+    for name in columns:
+        src = _raw_col(panel, name)
+        hit = memo.get((name, dims))
+        if hit is None or hit[0] is not src:
+            hit = memo[(name, dims)] = (src, _demean(_get_col(panel, name), *memo[dims]))
+        data[name] = hit[1].copy()
+    return WithinResult(data, 1)
 
 
 @dataclass
@@ -161,8 +183,6 @@ class FitResult:
     n_obs: int
     n_clusters: int
     n_singletons: int
-    iterations: int
-    converged: bool
     fixed_effects: tuple
     cluster: str | None
     model: str = "ols"
@@ -194,9 +214,7 @@ class FitResult:
     def summary(self) -> str:
         lines = [f"{self.model.upper()} fit: {self.n_obs} obs, "
                  f"{self.n_clusters} clusters ({self.cluster or 'HC1'}), "
-                 f"FE: {'+'.join(self.fixed_effects) or 'none'}, "
-                 f"within sweeps: {self.iterations}"
-                 f"{'' if self.converged else ' (NOT converged)'}"]
+                 f"FE: {'+'.join(self.fixed_effects) or 'none'}"]
         if self.n_singletons:
             lines.append(f"singleton clusters kept: {self.n_singletons}")
         if self.dropped:
@@ -221,12 +239,10 @@ class FitResult:
         return rows
 
 
-def _drop_degenerate(names, transformed, originals, protect=()):
+def _drop_degenerate(names, transformed, originals):
     """Names of columns with no variation left after the transform."""
     dropped = []
     for name in names:
-        if name in protect:
-            continue
         col = transformed[name]
         scale = max(1.0, float(np.abs(originals[name]).max()) if originals[name].size else 0.0)
         if col.size == 0 or float(np.abs(col).max()) <= _DEGENERATE_RTOL * scale:
@@ -258,12 +274,6 @@ def _cr1_factor(G: int, N: int, K: int) -> float:
     return (G / (G - 1.0)) * ((N - 1.0) / (N - K))
 
 
-def _cluster_codes(panel, cluster: str | None, n: int) -> np.ndarray:
-    if cluster is None:
-        return np.arange(n, dtype=np.int64)  # each row its own cluster -> HC1
-    return _get_codes(panel, cluster)
-
-
 def clustered_vcov(residuals: np.ndarray, X: np.ndarray, clusters,
                    threads: int = 1) -> np.ndarray:
     """CR1 cluster sandwich: (X'X)^-1 (sum_g X_g'u_g u_g'X_g) (X'X)^-1, scaled
@@ -284,7 +294,7 @@ def clustered_vcov(residuals: np.ndarray, X: np.ndarray, clusters,
     return (V + V.T) / 2.0
 
 
-def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads, tol, max_sweeps,
+def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads,
               model: str) -> FitResult:
     """Shared OLS/2SLS engine on within-transformed columns."""
     need = [spec.outcome, *dict.fromkeys((*x_names, *z_names))]
@@ -297,16 +307,11 @@ def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads, tol, max_sweep
         raise InvalidParameterError("empty panel")
 
     add_const = not spec.fixed_effects
-    within = within_transform(panel, need, spec.fixed_effects, tol, max_sweeps)
-    data = within.columns
-    if add_const:
-        # no absorbed intercept: include one and test variation around it
-        centered = {k: v - v.mean() for k, v in data.items()}
-        degenerate = _drop_degenerate(x_names, centered, originals)
-        z_degenerate = _drop_degenerate(z_names, centered, originals)
-    else:
-        degenerate = _drop_degenerate(x_names, data, originals)
-        z_degenerate = _drop_degenerate(z_names, data, originals)
+    data = within_transform(panel, need, spec.fixed_effects).columns
+    # no absorbed intercept: include one and test variation around it
+    varied = {k: v - v.mean() for k, v in data.items()} if add_const else data
+    degenerate = _drop_degenerate(x_names, varied, originals)
+    z_degenerate = _drop_degenerate(z_names, varied, originals)
 
     dropped = []
     if z_names:
@@ -353,15 +358,16 @@ def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads, tol, max_sweep
     coef = _solve_pivoted(ZtX, Zty, terms)
     resid = y - X @ coef
 
-    codes_raw = _cluster_codes(panel, spec.cluster, n)
-    uniq, codes = np.unique(codes_raw, return_inverse=True)
-    G = uniq.size
+    # dense 0..G-1 codes; with no cluster each row is its own (HC1)
+    codes = (np.arange(n, dtype=np.int64) if spec.cluster is None
+             else _get_codes(panel, spec.cluster))
+    G = int(codes.max()) + 1
     if G < 2:
         raise InsufficientClustersError(f"need at least 2 clusters, got {G}")
     sizes = np.bincount(codes)
     K = X.shape[1]
     bread = scipy.linalg.solve(ZtX, np.eye(K))
-    S = _cluster_scores(Z, resid, codes.astype(np.int64), G)
+    S = _cluster_scores(Z, resid, codes, G)
     meat = _crossprod(S, S, threads=threads)
     V = bread @ meat @ bread.T * _cr1_factor(G, n, K)
     V = (V + V.T) / 2.0
@@ -369,22 +375,30 @@ def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads, tol, max_sweep
     n_singletons = int((sizes == 1).sum()) if spec.cluster is not None else 0
     return FitResult(
         terms=tuple(terms), coef=coef, vcov=V, n_obs=int(n), n_clusters=int(G),
-        n_singletons=n_singletons, iterations=within.iterations,
-        converged=within.converged, fixed_effects=spec.fixed_effects,
+        n_singletons=n_singletons, fixed_effects=spec.fixed_effects,
         cluster=spec.cluster, model=model, dropped=tuple(dropped))
 
 
-def ols_fit(panel, spec: DesignSpec, threads: int = 1, tol: float = 1e-10,
-            max_sweeps: int = 100) -> FitResult:
+def ols_fit(panel, spec: DesignSpec, threads: int = 1) -> FitResult:
     """Within-transformed OLS with CR1 clustered (or HC1) covariance."""
     if spec.instruments:
         raise InvalidParameterError("ols_fit takes a spec without instruments")
     x_names = (*spec.endog, *spec.exog)
-    return _fit_core(panel, spec, x_names, (), threads, tol, max_sweeps, "ols")
+    return _fit_core(panel, spec, x_names, (), threads, "ols")
 
 
-def tsls_fit(panel, spec: DesignSpec, threads: int = 1, tol: float = 1e-10,
-             max_sweeps: int = 100, attach_diagnostics: bool = True) -> FitResult:
+def _first_stage(panel, spec: DesignSpec, x: str, z: str, threads: int) -> FitResult:
+    """OLS of endogenous ``x`` on every instrument, with the Wald stat of ``z``."""
+    fs = ols_fit(panel, DesignSpec(outcome=x, exog=(*spec.instruments, *spec.exog),
+                                   fixed_effects=spec.fixed_effects,
+                                   cluster=spec.cluster), threads=threads)
+    fs.model = "first_stage"
+    se = fs.se_of(z)
+    fs.stats["instrument_wald"] = (fs.coef_of(z) / se) ** 2 if se > 0 else float("inf")
+    return fs
+
+
+def tsls_fit(panel, spec: DesignSpec, threads: int = 1) -> FitResult:
     """Just-identified 2SLS: beta = (Z'X)^-1 Z'y on within-transformed data.
 
     The first-stage fit (one per endogenous column) is attached, as is the
@@ -395,43 +409,23 @@ def tsls_fit(panel, spec: DesignSpec, threads: int = 1, tol: float = 1e-10,
         raise InvalidParameterError("tsls_fit needs instruments")
     x_names = (*spec.endog, *spec.exog)
     try:
-        result = _fit_core(panel, spec, x_names, spec.instruments, threads, tol,
-                           max_sweeps, "2sls")
+        result = _fit_core(panel, spec, x_names, spec.instruments, threads, "2sls")
     except WeakIdentificationError as err:
         if err.first_stage_stat is None and len(spec.endog) == 1:
-            fs_spec = DesignSpec(outcome=spec.endog[0],
-                                 exog=(*spec.instruments, *spec.exog),
-                                 fixed_effects=spec.fixed_effects,
-                                 cluster=spec.cluster)
-            fs = ols_fit(panel, fs_spec, threads=threads, tol=tol,
-                         max_sweeps=max_sweeps)
-            z = spec.instruments[0]
-            se = fs.se_of(z)
-            wald = (fs.coef_of(z) / se) ** 2 if se > 0 else float("inf")
-            raise WeakIdentificationError(str(err), first_stage_stat=wald) from err
+            fs = _first_stage(panel, spec, spec.endog[0], spec.instruments[0], threads)
+            raise WeakIdentificationError(
+                str(err), first_stage_stat=fs.stats["instrument_wald"]) from err
         raise
-    if attach_diagnostics:
-        stages = []
-        for x, z in zip(spec.endog, spec.instruments):
-            if x in result.dropped:
-                continue
-            fs_spec = DesignSpec(outcome=x, exog=(*spec.instruments, *spec.exog),
-                                 fixed_effects=spec.fixed_effects, cluster=spec.cluster)
-            fs = ols_fit(panel, fs_spec, threads=threads, tol=tol, max_sweeps=max_sweeps)
-            fs.model = "first_stage"
-            fs.stats["instrument_wald"] = (fs.coef_of(z) / fs.se_of(z)) ** 2 \
-                if fs.se_of(z) > 0 else float("inf")
-            stages.append(fs)
-        result.first_stage = stages[0] if len(stages) == 1 else tuple(stages)
-        if len(spec.endog) == 1 and len(stages) == 1:
-            result.ar_stat = anderson_rubin(panel, spec, threads=threads, tol=tol,
-                                            max_sweeps=max_sweeps)
-            result.stats["first_stage_wald"] = stages[0].stats["instrument_wald"]
+    stages = [_first_stage(panel, spec, x, z, threads)
+              for x, z in zip(spec.endog, spec.instruments) if x not in result.dropped]
+    result.first_stage = stages[0] if len(stages) == 1 else tuple(stages)
+    if len(spec.endog) == 1 and len(stages) == 1:
+        result.ar_stat = anderson_rubin(panel, spec, threads=threads)
+        result.stats["first_stage_wald"] = stages[0].stats["instrument_wald"]
     return result
 
 
-def anderson_rubin(panel, spec: DesignSpec, threads: int = 1, tol: float = 1e-10,
-                   max_sweeps: int = 100) -> float:
+def anderson_rubin(panel, spec: DesignSpec, threads: int = 1) -> float:
     """Cluster-robust Wald statistic on the instrument in the reduced form.
 
     AR = (delta_RF / se_cluster(delta_RF))^2 from regressing the outcome on
@@ -444,15 +438,14 @@ def anderson_rubin(panel, spec: DesignSpec, threads: int = 1, tol: float = 1e-10
     z = spec.instruments[0]
     rf_spec = DesignSpec(outcome=spec.outcome, exog=(z, *spec.exog),
                          fixed_effects=spec.fixed_effects, cluster=spec.cluster)
-    rf = ols_fit(panel, rf_spec, threads=threads, tol=tol, max_sweeps=max_sweeps)
+    rf = ols_fit(panel, rf_spec, threads=threads)
     se = rf.se_of(z)
     if se == 0:
         return float("inf")
     return float((rf.coef_of(z) / se) ** 2)
 
 
-def heterogeneity_fit(panel, method: str = "2sls", threads: int = 1,
-                      tol: float = 1e-10, max_sweeps: int = 100) -> FitResult:
+def heterogeneity_fit(panel, method: str = "2sls", threads: int = 1) -> FitResult:
     """Key-player / old-friend decomposition: y on (x_kp, x_of), both FE dims.
 
     2SLS instruments the pair with the correspondingly restricted
@@ -463,10 +456,10 @@ def heterogeneity_fit(panel, method: str = "2sls", threads: int = 1,
     if method == "2sls":
         spec = DesignSpec(outcome="y", endog=("x_kp", "x_of"),
                           instruments=("z_kp_lag", "z_of_lag"))
-        return tsls_fit(panel, spec, threads=threads, tol=tol, max_sweeps=max_sweeps)
+        return tsls_fit(panel, spec, threads=threads)
     if method == "ols":
         spec = DesignSpec(outcome="y", endog=("x_kp", "x_of"))
-        return ols_fit(panel, spec, threads=threads, tol=tol, max_sweeps=max_sweeps)
+        return ols_fit(panel, spec, threads=threads)
     raise InvalidParameterError(f"unknown method {method!r}")
 
 
@@ -478,11 +471,12 @@ def playtime_fit(rows, variant: int = 2, threads: int = 1) -> FitResult:
     """Cross-sectional OLS of log playtime with HC1 standard errors.
 
     ``rows`` is the record array from ``build_playtime_crosssection`` (any
-    table indexed by field name will do).  Variants select the peer dummies: 1 = no_friend_purchase only; 2/3/4 =
-    kp_purchase + of_purchase + no_friend_purchase (3 and 4 are meant for
-    game-restricted row subsets — the caller filters the rows).  The
-    covariate vector and an intercept always enter; covariates without
-    variation in the sample are dropped with a diagnostic.
+    table indexed by field name will do).  Variants select the peer
+    dummies: 1 = no_friend_purchase only; 2/3/4 = kp_purchase +
+    of_purchase + no_friend_purchase (3 and 4 are meant for game-restricted
+    row subsets — the caller filters the rows).  The covariate vector and an
+    intercept always enter; covariates without variation in the sample are
+    dropped with a diagnostic.
     """
     if variant not in (1, 2, 3, 4):
         raise InvalidParameterError("variant must be 1..4")

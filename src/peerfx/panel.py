@@ -221,6 +221,8 @@ class PanelDataset:
     config: PanelConfig
     meta: dict = field(default_factory=dict)
     _codes: dict = field(default_factory=dict, repr=False, compare=False)
+    # estimator.within_transform's per-panel memo: FE systems and demeaned columns
+    _within: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:

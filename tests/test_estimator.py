@@ -12,6 +12,8 @@ from peerfx import (
     DesignSpec,
     InsufficientClustersError,
     InvalidParameterError,
+    PanelConfig,
+    PanelDataset,
     RankDeficientError,
     WeakIdentificationError,
     anderson_rubin,
@@ -48,7 +50,6 @@ def test_within_single_dim_is_one_pass():
     rng = np.random.default_rng(0)
     d = toy_panel(rng)
     res = within_transform(d, ["y", "x"], fe_dims=("player",))
-    assert res.converged
     assert group_mean_absmax(res.columns["y"], d["player"]) < 1e-12
 
 
@@ -56,7 +57,6 @@ def test_within_two_way_kills_both_margins():
     rng = np.random.default_rng(1)
     d = toy_panel(rng)
     res = within_transform(d, ["y"], fe_dims=("player", "week"))
-    assert res.converged
     assert group_mean_absmax(res.columns["y"], d["player"]) < 1e-10
     assert group_mean_absmax(res.columns["y"], d["week"]) < 1e-10
 
@@ -86,6 +86,55 @@ def test_within_unbalanced_matches_dense_residualization():
                          d["player"], d["week"])
     for name in ("y", "x", "z"):
         assert np.abs(res.columns[name] - want[name]).max() < 1e-8
+
+
+@pytest.mark.parametrize("fe_dims", [("player", "week"), ("week", "player")])
+def test_within_censored_disconnected_matches_dense_residualization(fe_dims):
+    # two player blocks on disjoint week ranges, ~20% of rows censored: the
+    # week system is singular, and alternating sweeps stop short of 1e-12
+    rng = np.random.default_rng(40)
+    P, W = 12, 10
+    player = np.repeat(np.arange(P), W)
+    week = np.tile(np.arange(W), P) + W * (player >= P // 2)
+    d = {"player": player, "week": week}
+    for name in ("y", "x"):
+        d[name] = (rng.normal(0, 1, P)[player] + rng.normal(0, 1, 2 * W)[week]
+                   + rng.normal(0, 1, player.size))
+    keep = rng.random(player.size) > 0.2
+    d = {k: v[keep] for k, v in d.items()}
+    res = within_transform(d, ["y", "x"], fe_dims=fe_dims)
+    want = demean_oracle({k: d[k] for k in ("y", "x")}, d["player"], d["week"])
+    for name in ("y", "x"):
+        assert np.abs(res.columns[name] - want[name]).max() < 1e-12
+
+
+def test_within_memo_follows_replaced_columns_and_ignores_writes():
+    rng = np.random.default_rng(41)
+    d = toy_panel(rng, n_players=9, n_weeks=5)
+
+    def make(columns):
+        return PanelDataset(player=d["player"], week=d["week"],
+                            columns=dict(columns), window=(0, 5),
+                            config=PanelConfig())
+
+    spec = DesignSpec(outcome="y", endog=("x",), instruments=("z",))
+    panel = make({k: d[k] for k in ("y", "x", "z")})
+    first = tsls_fit(panel, spec)
+    panel.columns["y"] = d["y"] + rng.normal(0, 1, d["y"].size)
+    refit = tsls_fit(panel, spec)
+    fresh = tsls_fit(make(panel.columns), spec)
+    assert refit.coef_of("x") != first.coef_of("x")
+    assert np.array_equal(refit.coef, fresh.coef)
+    assert np.array_equal(refit.vcov, fresh.vcov)
+    assert refit.ar_stat == fresh.ar_stat
+
+    res = within_transform(panel, ["y", "x", "z"])
+    for col in res.columns.values():
+        col[:] = 0.0
+    again = tsls_fit(panel, spec)
+    assert np.array_equal(again.coef, refit.coef)
+    assert np.array_equal(again.vcov, refit.vcov)
+    assert again.ar_stat == refit.ar_stat
 
 
 def test_within_no_dims_is_identity():
@@ -250,8 +299,7 @@ def test_tsls_collapses_to_ols_when_instrument_is_regressor():
     rng = np.random.default_rng(16)
     d = toy_panel(rng)
     d["zx"] = d["x"].copy()
-    iv = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("zx",)),
-                  attach_diagnostics=False)
+    iv = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("zx",)))
     ols = ols_fit(d, DesignSpec(outcome="y", exog=("x",)))
     assert iv.coef_of("x") == pytest.approx(ols.coef_of("x"), abs=1e-10)
 
@@ -260,8 +308,7 @@ def test_tsls_closed_form_no_fe():
     rng = np.random.default_rng(17)
     d = toy_panel(rng)
     fit = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("z",),
-                                 fixed_effects=(), cluster=None),
-                   attach_diagnostics=False)
+                                 fixed_effects=(), cluster=None))
     n = d["y"].size
     X = np.column_stack([d["x"], np.ones(n)])
     Z = np.column_stack([d["z"], np.ones(n)])
@@ -272,8 +319,7 @@ def test_tsls_closed_form_no_fe():
 def test_tsls_closed_form_two_way_fe():
     rng = np.random.default_rng(18)
     d = toy_panel(rng, n_players=11, n_weeks=6)
-    fit = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("z",)),
-                   attach_diagnostics=False)
+    fit = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("z",)))
     wd = demean_oracle({k: d[k] for k in ("y", "x", "z")}, d["player"], d["week"])
     want = tsls_closed_form(wd["y"], wd["x"][:, None], wd["z"][:, None])
     assert fit.coef_of("x") == pytest.approx(want[0], abs=1e-8)
@@ -315,21 +361,18 @@ def test_tsls_orthogonal_instrument_raises_weak():
 def test_tsls_scale_equivariance():
     rng = np.random.default_rng(21)
     d = toy_panel(rng)
-    base = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("z",)),
-                    attach_diagnostics=False)
+    base = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("z",)))
     c = 3.7
     d2 = dict(d)
     d2["x"] = d["x"] * c
     scaled = tsls_fit(d2, DesignSpec(outcome="y", endog=("x",),
-                                     instruments=("z",)),
-                      attach_diagnostics=False)
+                                     instruments=("z",)))
     assert scaled.coef_of("x") == pytest.approx(base.coef_of("x") / c, rel=1e-10)
     assert scaled.se_of("x") == pytest.approx(base.se_of("x") / c, rel=1e-10)
     d3 = dict(d)
     d3["z"] = d["z"] * c  # instrument scale must not matter at all
     rescaled = tsls_fit(d3, DesignSpec(outcome="y", endog=("x",),
-                                       instruments=("z",)),
-                        attach_diagnostics=False)
+                                       instruments=("z",)))
     assert rescaled.coef_of("x") == pytest.approx(base.coef_of("x"), rel=1e-10)
 
 
@@ -408,8 +451,7 @@ def test_heterogeneity_drops_flat_endog_pairwise():
     assert "x_of" in fit.dropped
     assert "x_of" not in fit.terms
     solo = tsls_fit(d, DesignSpec(outcome="y", endog=("x_kp",),
-                                  instruments=("z_kp_lag",)),
-                    attach_diagnostics=False)
+                                  instruments=("z_kp_lag",)))
     assert fit.coef_of("x_kp") == pytest.approx(solo.coef_of("x_kp"), abs=1e-12)
 
 
