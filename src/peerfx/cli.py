@@ -180,12 +180,6 @@ def _optional_path(cfg: RunConfig, name: str):
     return value
 
 
-def _out_dir(cfg: RunConfig, default: str = ".") -> str:
-    out = cfg.out or default
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _load_network(cfg: RunConfig):
     _require(cfg, "edges")
     triple = fileio.read_edges_csv(cfg.edges, epoch_unix=cfg.epoch_unix)
@@ -243,27 +237,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
         gamma_nofriend=cfg.gamma_nofriend, playtime_mu=cfg.playtime_mu,
         noise_sd=cfg.noise_sd)
     result = run_simulation(sim_cfg, truth, games=games)
-    out = _out_dir(cfg)
+    out = cfg.out or "."
     net = result.network
 
     ai, bi, formed = net.edge_array()
     fileio.write_edges_csv(os.path.join(out, "edges.csv"),
                            net.nodes[ai], net.nodes[bi], formed,
                            epoch_unix=cfg.epoch_unix)
-    players, names, weeks = [], [], []
-    for game, sched in result.schedules.items():
-        players.append(sched.players)
-        names += [game] * sched.players.size
-        weeks.append(sched.weeks)
+    scheds = list(result.schedules.values())  # never empty: cfg.game is always simulated
     fileio.write_achievements_csv(os.path.join(out, "achievements.csv"),
-                                  np.concatenate(players) if players else [],
-                                  names,
-                                  np.concatenate(weeks) if weeks else [],
+                                  np.concatenate([s.players for s in scheds]),
+                                  np.repeat([s.game for s in scheds],
+                                            [s.players.size for s in scheds]),
+                                  np.concatenate([s.weeks for s in scheds]),
                                   epoch_unix=cfg.epoch_unix)
-    fileio.write_playtime_csv(
-        os.path.join(out, "playtime.csv"),
-        [(pid, game, minutes) for (pid, game), minutes
-         in sorted(result.playtimes.items())])
+    fileio.write_playtime_csv(os.path.join(out, "playtime.csv"), *result.playtimes)
     cov = result.covariates
     fileio.write_covariates_csv(os.path.join(out, "covariates.csv"),
                                 cov["player"], cov["num_games"],
@@ -296,9 +284,6 @@ def cmd_build_panel(cfg: RunConfig) -> int:
     panel = build_panel(net, schedule, tags, groups,
                         (cfg.window_start, cfg.window_end), pcfg)
     out = cfg.out or "panel.csv"
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     fileio.write_panel_csv(out, panel)
     print(f"wrote {out} ({panel.n_rows} rows) and {out}.meta.json")
     return 0
@@ -319,7 +304,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     rf = estimator.ols_fit(panel, rf_spec, threads=cfg.threads)
     iv = estimator.tsls_fit(panel, iv_spec, threads=cfg.threads)
     text = report.main_report(ols, rf, iv)
-    out = _out_dir(cfg)
+    out = cfg.out or "."
     fileio.write_text(os.path.join(out, "report.txt"), text)
     fs = iv.first_stage if not isinstance(iv.first_stage, tuple) else iv.first_stage[0]
     rows = report.estimates_csv_rows(
@@ -344,7 +329,7 @@ def cmd_heterogeneity(cfg: RunConfig) -> int:
         named.append(("2sls", iv))
     else:
         text = report.heterogeneity_report(ols)
-    out = _out_dir(cfg)
+    out = cfg.out or "."
     fileio.write_text(os.path.join(out, "heterogeneity.txt"), text)
     fileio.write_estimates_csv(os.path.join(out, "heterogeneity.csv"),
                                report.estimates_csv_rows(named))
@@ -360,7 +345,7 @@ def cmd_playtime(cfg: RunConfig) -> int:
     events = fileio.read_achievements_csv(cfg.achievements)
     playtimes = fileio.read_playtime_csv(cfg.playtime)
     covariates = fileio.read_covariates_csv(cfg.covariates)
-    games = [cfg.game] + sorted({g for _, g in playtimes} - {cfg.game})
+    games = [cfg.game] + sorted(set(playtimes[1].tolist()) - {cfg.game})
     schedules = {g: derive_schedule(events, g, epoch_unix=cfg.epoch_unix)
                  for g in games}
     tags, _ = _tag_network(cfg, net)
@@ -380,7 +365,7 @@ def cmd_playtime(cfg: RunConfig) -> int:
         fits.append((f"({k}) {game}", fit))
         named.append((f"playtime_v{k}", fit))
     text = report.playtime_report(fits)
-    out = _out_dir(cfg)
+    out = cfg.out or "."
     fileio.write_text(os.path.join(out, "playtime_report.txt"), text)
     fileio.write_estimates_csv(os.path.join(out, "playtime_estimates.csv"),
                                report.estimates_csv_rows(named))
@@ -399,9 +384,6 @@ def cmd_katz(cfg: RunConfig) -> int:
     net = _load_network(cfg)
     scores = katz_centrality(net, cfg.week, alpha=cfg.katz_alpha)
     out = cfg.out or "scores.csv"
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     fileio.write_scores_csv(out, scores.players, scores.values)
     fileio.write_json(out + ".meta.json", {
         "asof": scores.asof, "alpha": scores.alpha,
@@ -419,9 +401,6 @@ def cmd_series(cfg: RunConfig) -> int:
     inside = (schedule.weeks >= w0) & (schedule.weeks <= w1)
     counts = np.bincount(schedule.weeks[inside] - w0, minlength=weeks.size)
     out = cfg.out or "series.csv"
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     fileio.write_series_csv(out, weeks, counts)
     print(f"wrote {out}")
     return 0

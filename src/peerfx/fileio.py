@@ -1,6 +1,8 @@
 """CSV / JSON ingestion and emission for every pipeline artifact.
 
-All writers are atomic (temp file in the target directory + rename), so a
+Every CSV table is read by ``_read_table`` and written by ``_write_table``;
+only the panel reader (a structured ``loadtxt``) and the estimates writer
+(report precision) differ.  All writers are atomic (temp file in the target directory + rename), so a
 killed run never leaves a partial file at the final path.  Paths ending in
 ``.gz`` are transparently gzip-compressed where the format allows it.
 """
@@ -14,6 +16,7 @@ import os
 import tempfile
 import warnings
 from contextlib import contextmanager
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,182 +54,166 @@ def _open_read(path):
     return open(path, "r", newline="")
 
 
-def _parse_id(text: str, line: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"malformed player id {text!r}", line) from None
-    if value < 0:
-        raise ParseError(f"player id must be non-negative, got {value}", line)
-    return value
-
-
 def _check_header(got, want, path):
-    if [c.strip() for c in got] != want:
+    if [c.strip() for c in got] != list(want):
         raise ParseError(f"{path}: expected header {','.join(want)}, got {','.join(got)}", 1)
+
+
+# a column's field kind: (parser, lowest allowed value or None, what a
+# well-formed field is, array dtype)
+_ID = (int, 0, "a non-negative integer id", np.int64)
+_INT = (int, None, "an integer", np.int64)
+_FLOAT = (float, None, "a number", np.float64)
+_TEXT = (str.strip, None, "text", object)
+
+# rows buffered, then parsed column by column into arrays
+_READ_BLOCK = 2048
+
+
+def _bad_field(parse, lowest, cell) -> bool:
+    try:
+        value = parse(cell)
+    except ValueError:
+        return True
+    return lowest is not None and value < lowest
+
+
+def _read_table(path, header, kinds):
+    """Parse a CSV with exactly ``header`` into one array per column.
+
+    Blank rows are skipped; every other row must have one field per header
+    name, each parsed by its kind (``_ID``, ``_INT``, ``_FLOAT``, ``_TEXT``
+    or a kind of the same shape).  The first bad row raises
+    :class:`ParseError` with its file line.
+    """
+    width = len(header)
+    cols = [[np.zeros(0, dtype)] for *_, dtype in kinds]  # parsed blocks
+    lines, rows = [], []
+
+    def parse_rows():
+        try:
+            for j, (col, (parse, lowest, _, dtype)) in enumerate(zip(cols, kinds)):
+                values = np.asarray(list(map(parse, map(itemgetter(j), rows))), dtype=dtype)
+                if lowest is not None and values.size and values.min() < lowest:
+                    raise ValueError
+                col.append(values)
+        except ValueError:
+            for line, row in zip(lines, rows):
+                for name, (parse, lowest, want, _), cell in zip(header, kinds, row):
+                    if _bad_field(parse, lowest, cell):
+                        raise ParseError(f"{name}: expected {want}, got {cell!r}", line)
+        lines.clear()
+        rows.clear()
+
+    with _open_read(path) as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            raise ParseError(f"{path}: empty file, expected header {','.join(header)}", 1)
+        _check_header(got, header, path)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                parse_rows()  # a bad field on an earlier row is reported first
+                raise ParseError(f"expected {width} fields, got {len(row)}", line)
+            lines.append(line)
+            rows.append(row)
+            if len(rows) == _READ_BLOCK:
+                parse_rows()
+        parse_rows()
+    return [np.concatenate(col) for col in cols]
+
+
+_EDGE_HEADER = ("player_a", "player_b", "formed_unix")
+_ACHIEVEMENT_HEADER = ("player_id", "game", "unlocked_unix")
+_PLAYTIME_HEADER = ("player_id", "game", "playtime_minutes")
+_COVARIATE_HEADER = ("player_id", "num_games", "num_groups", "start_week")
+
+# rows formatted per block: bounds the transient strings of a large table
+_WRITE_BLOCK = 4096
+
+
+def _format_column(values: np.ndarray) -> np.ndarray:
+    """Text of each cell.  Integers print as integers; so do integral floats
+    below 2**53, and any other float prints as its shortest round-trip repr."""
+    if values.dtype.kind != "f":
+        return values.astype(str)
+    integral = (values == np.trunc(values)) & (np.abs(values) < 2.0**53)
+    if integral.all():
+        return values.astype(np.int64).astype(str)
+    text = values.astype(str)
+    text[integral] = values[integral].astype(np.int64).astype(str)
+    return text
+
+
+def _write_table(path, header, columns):
+    """Write ``header`` and the equal-length ``columns`` as CSV, atomically."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    with atomic_write(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for s in range(0, n, _WRITE_BLOCK):
+            cells = [_format_column(c[s:s + _WRITE_BLOCK]).tolist() for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_edges_csv(path, epoch_unix: int = 0):
     """Read ``player_a,player_b,formed_unix`` into (a, b, formed_week) arrays."""
-    a, b, wk = [], [], []
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty edge file", 1)
-        _check_header(header, ["player_a", "player_b", "formed_unix"], path)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line)
-            a.append(_parse_id(row[0], line))
-            b.append(_parse_id(row[1], line))
-            try:
-                unix = int(row[2])
-            except ValueError:
-                raise ParseError(f"malformed timestamp {row[2]!r}", line) from None
-            week = (unix - epoch_unix) // 604800
-            if week < 0:
-                raise ParseError(f"timestamp {unix} precedes the epoch {epoch_unix}", line)
-            wk.append(week)
-    return (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
-            np.asarray(wk, dtype=np.int64))
+    since_epoch = (int, epoch_unix, f"a Unix time at or after the epoch {epoch_unix}",
+                   np.int64)
+    a, b, unix = _read_table(path, _EDGE_HEADER, (_ID, _ID, since_epoch))
+    return a, b, (unix - epoch_unix) // 604800
 
 
 def write_edges_csv(path, a, b, formed_week, epoch_unix: int = 0):
-    with atomic_write(path) as fh:
-        fh.write("player_a,player_b,formed_unix\n")
-        unix = np.asarray(formed_week, dtype=np.int64) * 604800 + epoch_unix
-        for i in range(len(a)):
-            fh.write(f"{int(a[i])},{int(b[i])},{int(unix[i])}\n")
+    unix = np.asarray(formed_week, dtype=np.int64) * 604800 + epoch_unix
+    _write_table(path, _EDGE_HEADER, (a, b, unix))
 
 
 def read_node_filter_csv(path):
     """Read ``player_id,total_playtime_minutes``; returns ids with playtime > 0."""
-    keep = []
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty node filter file", 1)
-        _check_header(header, ["player_id", "total_playtime_minutes"], path)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            pid = _parse_id(row[0], line)
-            try:
-                minutes = float(row[1])
-            except ValueError:
-                raise ParseError(f"malformed playtime {row[1]!r}", line) from None
-            if minutes > 0:
-                keep.append(pid)
-    return np.unique(np.asarray(keep, dtype=np.int64))
+    player, minutes = _read_table(path, ("player_id", "total_playtime_minutes"),
+                                  (_ID, _FLOAT))
+    return np.unique(player[minutes > 0])
 
 
 def read_achievements_csv(path):
     """Read ``player_id,game,unlocked_unix`` into (player, game, unix) arrays."""
-    players, games, unix = [], [], []
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty achievements file", 1)
-        _check_header(header, ["player_id", "game", "unlocked_unix"], path)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line)
-            players.append(_parse_id(row[0], line))
-            games.append(row[1].strip())
-            try:
-                unix.append(int(row[2]))
-            except ValueError:
-                raise ParseError(f"malformed timestamp {row[2]!r}", line) from None
-    return (np.asarray(players, dtype=np.int64), np.asarray(games, dtype=object),
-            np.asarray(unix, dtype=np.int64))
+    return tuple(_read_table(path, _ACHIEVEMENT_HEADER, (_ID, _TEXT, _INT)))
 
 
 def write_achievements_csv(path, players, games, weeks, epoch_unix: int = 0):
-    with atomic_write(path) as fh:
-        fh.write("player_id,game,unlocked_unix\n")
-        unix = np.asarray(weeks, dtype=np.int64) * 604800 + epoch_unix
-        for i in range(len(players)):
-            fh.write(f"{int(players[i])},{games[i]},{int(unix[i])}\n")
+    unix = np.asarray(weeks, dtype=np.int64) * 604800 + epoch_unix
+    _write_table(path, _ACHIEVEMENT_HEADER, (players, games, unix))
 
 
 def read_playtime_csv(path):
-    """Read ``player_id,game,playtime_minutes`` into a {(player, game): minutes} dict."""
-    out = {}
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty playtime file", 1)
-        _check_header(header, ["player_id", "game", "playtime_minutes"], path)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            pid = _parse_id(row[0], line)
-            try:
-                out[(pid, row[1].strip())] = float(row[2])
-            except ValueError:
-                raise ParseError(f"malformed playtime {row[2]!r}", line) from None
-    return out
+    """Read ``player_id,game,playtime_minutes`` into (player, game, minutes) arrays."""
+    return tuple(_read_table(path, _PLAYTIME_HEADER, (_ID, _TEXT, _FLOAT)))
 
 
-def write_playtime_csv(path, rows):
-    """rows: iterable of (player, game, minutes)."""
-    with atomic_write(path) as fh:
-        fh.write("player_id,game,playtime_minutes\n")
-        for player, game, minutes in rows:
-            fh.write(f"{int(player)},{game},{minutes:g}\n")
+def write_playtime_csv(path, players, games, minutes):
+    _write_table(path, _PLAYTIME_HEADER, (players, games, minutes))
 
 
 def read_covariates_csv(path):
-    """Read ``player_id,num_games,num_groups,start_week`` into a columnar dict."""
-    players, num_games, num_groups, start_week = [], [], [], []
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty covariates file", 1)
-        _check_header(header, ["player_id", "num_games", "num_groups", "start_week"], path)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            players.append(_parse_id(row[0], line))
-            try:
-                num_games.append(float(row[1]))
-                num_groups.append(float(row[2]))
-                start_week.append(float(row[3]))
-            except ValueError:
-                raise ParseError(f"malformed covariate in {row!r}", line) from None
-    order = np.argsort(np.asarray(players, dtype=np.int64), kind="stable")
-    return {
-        "player": np.asarray(players, dtype=np.int64)[order],
-        "num_games": np.asarray(num_games)[order],
-        "num_groups": np.asarray(num_groups)[order],
-        "start_week": np.asarray(start_week)[order],
-    }
+    """Read ``player_id,num_games,num_groups,start_week`` into a columnar dict,
+    rows sorted by player."""
+    columns = _read_table(path, _COVARIATE_HEADER, (_ID, _FLOAT, _FLOAT, _FLOAT))
+    order = np.argsort(columns[0], kind="stable")
+    return {name: col[order]
+            for name, col in zip(("player", *_COVARIATE_HEADER[1:]), columns)}
 
 
 def write_covariates_csv(path, players, num_games, num_groups, start_week):
-    with atomic_write(path) as fh:
-        fh.write("player_id,num_games,num_groups,start_week\n")
-        for i in range(len(players)):
-            fh.write(f"{int(players[i])},{num_games[i]:g},{num_groups[i]:g},{start_week[i]:g}\n")
+    _write_table(path, _COVARIATE_HEADER, (players, num_games, num_groups, start_week))
 
 
 PANEL_COLUMNS = ("y", "x_friend", "z_sd_lag", "x_kp", "x_of", "z_kp_lag", "z_of_lag")
-
-
-def _format_value(v: float) -> str:
-    # integers dominate (binary/count aggregation); keep them compact
-    if v == int(v):
-        return str(int(v))
-    return repr(float(v))
+_PANEL_HEADER = ("player", "week", *PANEL_COLUMNS)
+# ids stay int64: Steam ids exceed float64's exact-integer range
+_PANEL_KINDS = (_INT, _INT, *(_FLOAT,) * len(PANEL_COLUMNS))
 
 
 def write_panel_csv(path, panel, meta_path=None):
@@ -235,21 +222,8 @@ def write_panel_csv(path, panel, meta_path=None):
     Header: ``player,week,y,x_friend,z_sd_lag,x_kp,x_of,z_kp_lag,z_of_lag``
     (the two trailing columns carry the heterogeneity instruments).
     """
-    cols = [panel.column(c) for c in PANEL_COLUMNS]
-    player = panel.player
-    week = panel.week
-    with atomic_write(path) as fh:
-        fh.write("player,week," + ",".join(PANEL_COLUMNS) + "\n")
-        chunk = 65536
-        n = panel.n_rows
-        for s in range(0, n, chunk):
-            e = min(s + chunk, n)
-            lines = []
-            for i in range(s, e):
-                vals = ",".join(_format_value(float(c[i])) for c in cols)
-                lines.append(f"{int(player[i])},{int(week[i])},{vals}")
-            fh.write("\n".join(lines))
-            fh.write("\n")
+    _write_table(path, _PANEL_HEADER,
+                 (panel.player, panel.week, *(panel.column(c) for c in PANEL_COLUMNS)))
     if meta_path is None:
         meta_path = os.fspath(path) + ".meta.json"
     write_json(meta_path, panel.meta)
@@ -258,17 +232,17 @@ def write_panel_csv(path, panel, meta_path=None):
 def read_panel_csv(path, meta_path=None):
     """Load a panel written by :func:`write_panel_csv`; returns (columns, meta)."""
     with _open_read(path) as fh:
-        header = fh.readline().strip().split(",")
-        want = ["player", "week", *PANEL_COLUMNS]
-        if header != want:
-            raise ParseError(f"{path}: expected header {','.join(want)}, got {','.join(header)}", 1)
-        # ids stay int64: Steam ids exceed float64's exact-integer range
-        dtype = [("player", np.int64), ("week", np.int64),
-                 *((name, np.float64) for name in PANEL_COLUMNS)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on header-only files
-            data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
-    columns = {name: np.ascontiguousarray(data[name]) for name in want}
+        _check_header(fh.readline().strip().split(","), _PANEL_HEADER, path)
+        dtype = [(name, kind[3]) for name, kind in zip(_PANEL_HEADER, _PANEL_KINDS)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on header-only files
+                data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
+        except ValueError as err:
+            # loadtxt's row numbers are not file lines; the table reader finds the line
+            _read_table(path, _PANEL_HEADER, _PANEL_KINDS)
+            raise ParseError(f"{path}: {err}") from None
+    columns = {name: np.ascontiguousarray(data[name]) for name in _PANEL_HEADER}
     if meta_path is None:
         candidate = os.fspath(path) + ".meta.json"
         meta = read_json(candidate) if os.path.exists(candidate) else {}
@@ -299,17 +273,11 @@ def read_json(path):
 
 
 def write_series_csv(path, weeks, counts):
-    with atomic_write(path) as fh:
-        fh.write("week,purchases\n")
-        for w, c in zip(weeks, counts):
-            fh.write(f"{int(w)},{int(c)}\n")
+    _write_table(path, ("week", "purchases"), (weeks, counts))
 
 
 def write_scores_csv(path, players, values):
-    with atomic_write(path) as fh:
-        fh.write("player,score\n")
-        for p, v in zip(players, values):
-            fh.write(f"{int(p)},{float(v)!r}\n")
+    _write_table(path, ("player", "score"), (players, values))
 
 
 def write_text(path, text: str):

@@ -588,23 +588,30 @@ def first_purchasing_friend(net: TemporalNetwork, schedule: AdoptionSchedule,
 
 
 def build_playtime_crosssection(net: TemporalNetwork, schedule_by_game: dict,
-                                tags: PeerTags, playtimes: dict,
+                                tags: PeerTags, playtimes: tuple,
                                 covariates: dict,
                                 diagnostics: dict | None = None) -> np.recarray:
     """Playtime cross-section: one record per kept (player, game) playtime.
 
-    ``playtimes`` maps (player, game) -> minutes; ``covariates`` is the
-    columnar dict from the covariates CSV.  Records follow sorted (player,
-    game) order with the fields of ``PLAYTIME_DTYPE``.  Players outside the
-    network, without an own purchase week for the game, with playtime below
-    one minute, or without covariates are excluded, each counted under the
-    first of those reasons (in ``diagnostics`` when a dict is passed).  Log
+    ``playtimes`` is a (player, game, minutes) array triple in any row order;
+    ``covariates`` is the columnar dict from the covariates CSV.  Records
+    follow sorted (player, game) order with the fields of ``PLAYTIME_DTYPE``.
+    A (player, game) pair given more than once keeps its last row; the
+    earlier rows are counted as ``duplicate``.  Players outside the network,
+    without an own purchase week for the game, with playtime below one
+    minute, or without covariates are excluded, each counted under the first
+    of those reasons (in ``diagnostics`` when a dict is passed).  Log
     playtime is over hours floored at 1 (so logs are >= 0).
     """
-    keys = sorted(playtimes)
-    player = np.array([p for p, _ in keys], dtype=np.int64)
-    game = np.array([g for _, g in keys], dtype=object)
-    minutes = np.array([playtimes[k] for k in keys], dtype=np.float64)
+    player, game, minutes = (np.asarray(c, dtype=t) for c, t in
+                             zip(playtimes, (np.int64, str, np.float64)))
+    names, code = np.unique(game, return_inverse=True)
+    names = names.astype(object)
+    order = np.lexsort((code, player))  # stable: a repeated pair keeps its row order
+    player, code, minutes = player[order], code[order], minutes[order]
+    last = np.ones(player.size, dtype=bool)
+    last[:-1] = (player[1:] != player[:-1]) | (code[1:] != code[:-1])
+    player, game, minutes = player[last], names[code[last]], minutes[last]
 
     own = np.full(player.size, NEVER, dtype=np.int64)
     for g, schedule in schedule_by_game.items():
@@ -613,7 +620,7 @@ def build_playtime_crosssection(net: TemporalNetwork, schedule_by_game: dict,
     node_pos, in_net = _lookup(net.nodes, player)
     cov_pos, has_cov = _lookup(covariates["player"], player)
     keep = np.ones(player.size, dtype=bool)
-    diag = {}
+    diag = {"duplicate": int((~last).sum())}
     for reason, bad in (("not_in_network", ~in_net), ("no_purchase", own == NEVER),
                         ("below_minimum", minutes < 1), ("no_covariates", ~has_cov)):
         diag[reason] = int((keep & bad).sum())

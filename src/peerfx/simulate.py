@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationFailedError, InvalidParameterError
-from .graph import (DEFAULT_DEGREE_CAP, TemporalNetwork, build_network,
+from .graph import (DEFAULT_DEGREE_CAP, NEVER, TemporalNetwork, build_network,
                     katz_centrality, tag_peers)
 from .panel import AdoptionSchedule, _first_friend_dummies, _key_player_mask
-
-_NEVER_WEEK = np.int64(2**31 - 1)
 
 
 @dataclass
@@ -134,6 +132,15 @@ def _draw_degrees(cfg: SimConfig, rng) -> np.ndarray:
     return deg.astype(np.int64)
 
 
+def _conflicts(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """Self-loops, and every repeat of an already seen unordered pair."""
+    keys = np.minimum(left, right) * n + np.maximum(left, right)
+    order = np.argsort(keys, kind="stable")
+    dup = np.zeros(keys.size, dtype=bool)
+    dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return (left == right) | dup
+
+
 def _pair_stubs(deg: np.ndarray, rng, max_rounds: int = 50):
     """Configuration-model matching; reshuffles bad pairs against good ones.
 
@@ -149,13 +156,7 @@ def _pair_stubs(deg: np.ndarray, rng, max_rounds: int = 50):
     dropped = 0
     rounds = 0
     for rounds in range(max_rounds):
-        a, b = np.minimum(left, right), np.maximum(left, right)
-        bad = left == right
-        keys = a * n + b
-        order = np.argsort(keys, kind="stable")
-        dup = np.zeros(keys.size, dtype=bool)
-        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        bad |= dup
+        bad = _conflicts(left, right, n)
         nbad = int(bad.sum())
         if nbad == 0:
             break
@@ -168,15 +169,9 @@ def _pair_stubs(deg: np.ndarray, rng, max_rounds: int = 50):
         left[pool_idx] = pool[:pool_idx.size]
         right[pool_idx] = pool[pool_idx.size:]
     else:
-        a, b = np.minimum(left, right), np.maximum(left, right)
-        bad = left == right
-        keys = a * n + b
-        order = np.argsort(keys, kind="stable")
-        dup = np.zeros(keys.size, dtype=bool)
-        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        bad |= dup
+        bad = _conflicts(left, right, n)
         dropped = int(bad.sum())
-        if dropped > max(1, keys.size // 100):
+        if dropped > max(1, bad.size // 100):
             raise GenerationFailedError(
                 f"could not form a simple graph: {dropped} conflicting pairs "
                 f"after {max_rounds} rematch rounds")
@@ -221,7 +216,7 @@ def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
 
 
 def _neighbor_mean(net: TemporalNetwork, values: np.ndarray) -> np.ndarray:
-    A = net.csr_at(int(_NEVER_WEEK) - 1)
+    A = net.csr_at(int(NEVER) - 1)
     deg = np.asarray(net.degrees(), dtype=np.float64)
     total = A @ values
     out = np.zeros_like(values)
@@ -271,7 +266,7 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
     for idx in late:
         buckets.setdefault(int(formed_slot[idx]), []).append(int(idx))
 
-    p_week = np.full(P, _NEVER_WEEK, dtype=np.int64)
+    p_week = np.full(P, NEVER, dtype=np.int64)
     n_f = np.zeros(P, dtype=np.int32)
     n_kp = np.zeros(P, dtype=np.int32)
     n_of = np.zeros(P, dtype=np.int32)
@@ -325,7 +320,7 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
                         in_heap[f] = True
                         heapq.heappush(heap, (int(slots[f]), f))
 
-    bought = p_week < _NEVER_WEEK
+    bought = p_week < NEVER
     meta = {
         "game": game or cfg.game,
         "n_adopters": int(bought.sum()),
@@ -352,6 +347,9 @@ def simulate_playtime(net: TemporalNetwork, schedules: dict, tags, cfg: SimConfi
     where the first-purchase channel flags come from the earliest-buying
     friend (ties to the smallest id), exactly as the cross-section builder
     later reconstructs them.  Minutes are floored at 1.
+
+    Returns ((player, game, minutes), covariates): the playtime arrays are
+    sorted by (player, game), one entry per purchase.
     """
     P = net.n_nodes
     cov = {
@@ -368,7 +366,9 @@ def simulate_playtime(net: TemporalNetwork, schedules: dict, tags, cfg: SimConfi
             + load.get("start_week", 0.0) * cov["start_week"]
             + load.get("num_friends", 0.0) * deg)
     kp_mask = _key_player_mask(net, tags)
-    playtimes = {}
+    players = [np.zeros(0, dtype=np.int64)]
+    games = [np.zeros(0, dtype=object)]
+    minutes = [np.zeros(0, dtype=np.int64)]
     for game in sorted(schedules):
         sched = schedules[game]
         noise = rng.normal(0.0, truth.noise_sd, P)
@@ -382,10 +382,13 @@ def simulate_playtime(net: TemporalNetwork, schedules: dict, tags, cfg: SimConfi
                  + truth.gamma_of * of
                  + truth.gamma_nofriend * nf
                  + noise[pos])
-        minutes = np.maximum(np.rint(np.exp(logpt) * 60.0), 1.0).astype(np.int64)
-        for pid, m in zip(sched.players.tolist(), minutes.tolist()):
-            playtimes[(pid, game)] = int(m)
-    return playtimes, cov
+        players.append(sched.players)
+        games.append(np.full(pos.size, game, dtype=object))
+        minutes.append(np.maximum(np.rint(np.exp(logpt) * 60.0), 1.0).astype(np.int64))
+    players, games, minutes = (np.concatenate(c) for c in (players, games, minutes))
+    # games are appended in name order, so a stable sort by player suffices
+    order = np.argsort(players, kind="stable")
+    return (players[order], games[order], minutes[order]), cov
 
 
 @dataclass
@@ -397,7 +400,7 @@ class SimOutput:
     network: TemporalNetwork
     tags: object
     schedules: dict
-    playtimes: dict
+    playtimes: tuple  # (player, game, minutes) arrays, sorted by (player, game)
     covariates: dict
 
     @property

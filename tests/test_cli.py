@@ -1,6 +1,7 @@
 """End-to-end command-line tests: config handling, exit codes, file outputs,
 and byte-level determinism.  One report is frozen as a golden file."""
 
+import dataclasses
 import filecmp
 import os
 import shutil
@@ -16,6 +17,7 @@ from peerfx import fileio, tsls_fit
 from peerfx.cli import RunConfig, load_config, main, parse_config_file
 from peerfx.estimator import DesignSpec
 from peerfx.report import format_cell
+from peerfx.simulate import SimConfig, SimTruth, run_simulation
 
 WEEK = 604800
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -135,7 +137,26 @@ def test_simulate_writes_consistent_files(sim_dir):
     cov = fileio.read_covariates_csv(sim_dir / "covariates.csv")
     assert cov["player"].size == 600
     playtimes = fileio.read_playtime_csv(sim_dir / "playtime.csv")
-    assert len(playtimes) == players.size  # one row per realized purchase
+    assert len(playtimes[0]) == players.size  # one row per realized purchase
+
+
+def test_simulate_playtime_minutes_survive_the_round_trip(tmp_path):
+    # mu = 10 puts minutes in the millions, past six significant digits
+    out = tmp_path / "sim"
+    assert main(["simulate", "--out", str(out), "--n-players", "2000",
+                 "--seed", "1", "--playtime-mu", "10",
+                 "--baseline-hazard", "0.01"]) == 0
+    sim = run_simulation(SimConfig(n_players=2000, seed=1),
+                         SimTruth(playtime_mu=10, baseline_hazard=0.01))
+    assert fileio.read_json(out / "truth.json")["config"] == \
+        dataclasses.asdict(sim.config)
+    players, games, minutes = fileio.read_playtime_csv(out / "playtime.csv")
+    assert minutes.max() > 1e6
+    assert np.array_equal(players, sim.playtimes[0])
+    assert games.tolist() == sim.playtimes[1].tolist()
+    assert np.array_equal(minutes, sim.playtimes[2])
+    cov = fileio.read_covariates_csv(out / "covariates.csv")
+    assert all(np.array_equal(cov[k], v) for k, v in sim.covariates.items())
 
 
 def test_simulate_byte_identical_for_same_seed(tmp_path):
@@ -253,6 +274,60 @@ def test_heterogeneity_and_playtime_commands(panel_path, sim_dir, tmp_path):
     assert meta["games"][0] == "SMB"
     text = (ptout / "playtime_report.txt").read_text()
     assert "No friend owned at purchase" in text
+
+
+def test_playtime_counts_repeated_rows_as_duplicates(sim_dir, tmp_path):
+    lines = (sim_dir / "playtime.csv").read_text().splitlines()
+    player, game, _ = lines[1].split(",")
+    repeated = tmp_path / "playtime.csv"
+    repeated.write_text("\n".join([*lines, f"{player},{game},1"]) + "\n")
+    metas = {}
+    for name, path in (("once", sim_dir / "playtime.csv"), ("twice", repeated)):
+        assert main(["playtime",
+                     "--edges", str(sim_dir / "edges.csv"),
+                     "--achievements", str(sim_dir / "achievements.csv"),
+                     "--playtime", str(path),
+                     "--covariates", str(sim_dir / "covariates.csv"),
+                     "--release-week", "10", "--out", str(tmp_path / name)]) == 0
+        metas[name] = fileio.read_json(tmp_path / name / "playtime_meta.json")
+    once, twice = metas["once"], metas["twice"]
+    assert once["excluded"]["duplicate"] == 0
+    assert twice["excluded"]["duplicate"] == 1
+    assert twice["rows"] == once["rows"]
+    assert twice["rows"] + sum(twice["excluded"].values()) == len(lines)
+    # the last row wins: one minute floors to log 0, unlike the first row
+    assert (tmp_path / "once" / "playtime_estimates.csv").read_bytes() != \
+        (tmp_path / "twice" / "playtime_estimates.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad_row", ["1,12,x,0,0,0,0,0,0", "1,12,0"],
+                         ids=["bad_cell", "short_row"])
+def test_estimate_malformed_panel_is_exit_1_with_line(panel_path, tmp_path,
+                                                      capsys, bad_row):
+    lines = panel_path.read_text().splitlines(keepends=True)
+    path = tmp_path / "panel.csv"
+    path.write_text("".join(lines[:2]) + bad_row + "\n" + "".join(lines[2:]))
+    assert main(["estimate", "--panel", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error (ParseError)" in err and "line 3:" in err
+
+
+def test_commands_create_missing_output_directories(sim_dir, tmp_path):
+    inputs = ["--edges", str(sim_dir / "edges.csv"),
+              "--achievements", str(sim_dir / "achievements.csv")]
+    nested = tmp_path / "a" / "b"
+    assert main(["build-panel", *inputs, "--out", str(nested / "p" / "panel.csv"),
+                 "--release-week", "10", "--window-start", "10",
+                 "--window-end", "29", "--n-per-group", "60", "--seed", "3"]) == 0
+    assert main(["katz", "--edges", str(sim_dir / "edges.csv"), "--week", "6",
+                 "--out", str(nested / "k" / "scores.csv")]) == 0
+    assert main(["series", "--achievements", str(sim_dir / "achievements.csv"),
+                 "--window-start", "10", "--window-end", "29",
+                 "--out", str(nested / "s" / "series.csv")]) == 0
+    for name in ("p/panel.csv", "p/panel.csv.meta.json", "k/scores.csv",
+                 "k/scores.csv.meta.json", "s/series.csv"):
+        assert (nested / name).is_file(), name
 
 
 def test_estimate_empty_panel_is_exit_2(tmp_path, capsys):

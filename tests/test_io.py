@@ -71,10 +71,10 @@ def test_achievements_roundtrip(tmp_path):
 
 def test_playtime_roundtrip(tmp_path):
     path = tmp_path / "pt.csv"
-    fileio.write_playtime_csv(path, [(1, "SMB", 90), (2, "NV", 30.5)])
-    table = fileio.read_playtime_csv(path)
-    assert table[(1, "SMB")] == 90
-    assert table[(2, "NV")] == 30.5
+    fileio.write_playtime_csv(path, [1, 2], ["SMB", "NV"], [90, 30.5])
+    players, games, minutes = fileio.read_playtime_csv(path)
+    assert (players[0], games[0], minutes[0]) == (1, "SMB", 90)
+    assert (players[1], games[1], minutes[1]) == (2, "NV", 30.5)
 
 
 def test_covariates_roundtrip_sorted(tmp_path):
@@ -114,6 +114,112 @@ def test_panel_header_mismatch(tmp_path):
     path.write_text("player,week,y\n1,2,0\n")
     with pytest.raises(ParseError):
         fileio.read_panel_csv(path)
+
+
+def test_panel_malformed_cell_names_file_line(tmp_path):
+    path = tmp_path / "p.csv"
+    row = "1,2," + ",".join(["0"] * len(fileio.PANEL_COLUMNS))
+    path.write_text("player,week," + ",".join(fileio.PANEL_COLUMNS) + "\n"
+                    + row + "\n" + row.replace(",0", ",x", 1) + "\n")
+    with pytest.raises(ParseError) as err:
+        fileio.read_panel_csv(path)
+    assert err.value.line == 3
+    assert "'x'" in str(err.value)
+
+
+def test_panel_short_row_names_file_line(tmp_path):
+    path = tmp_path / "p.csv"
+    row = "1,2," + ",".join(["0"] * len(fileio.PANEL_COLUMNS))
+    path.write_text("player,week," + ",".join(fileio.PANEL_COLUMNS) + "\n"
+                    + row + "\n1,3,0\n" + row + "\n")
+    with pytest.raises(ParseError) as err:
+        fileio.read_panel_csv(path)
+    assert err.value.line == 3
+    assert "expected 9 fields, got 3" in str(err.value)
+
+
+# one header plus a well-formed row per reader; each case's bad rows are
+# this row cut short and this row with a field too many
+READERS = {
+    "edges": (fileio.read_edges_csv, "player_a,player_b,formed_unix", "1,2,0"),
+    "node_filter": (fileio.read_node_filter_csv,
+                    "player_id,total_playtime_minutes", "1,5"),
+    "achievements": (fileio.read_achievements_csv,
+                     "player_id,game,unlocked_unix", "1,SMB,0"),
+    "playtime": (fileio.read_playtime_csv, "player_id,game,playtime_minutes",
+                 "1,SMB,30"),
+    "covariates": (fileio.read_covariates_csv,
+                   "player_id,num_games,num_groups,start_week", "1,3,2,7"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("cut", [-1, 1], ids=["short", "long"])
+def test_wrong_field_count_is_parse_error_with_line(tmp_path, reader, cut):
+    read, header, row = READERS[reader]
+    fields = row.split(",")
+    bad = ",".join(fields[:-1] if cut < 0 else fields + ["9"])
+    path = tmp_path / "t.csv"
+    path.write_text(f"{header}\n{row}\n\n{bad}\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert err.value.line == 4  # the blank line 3 still counts
+    width = len(fields)
+    assert f"expected {width} fields, got {width + cut}" in str(err.value)
+    path.write_text(f"{header}\n{row}\n\n{row}\n")
+    read(path)  # the blank row alone is fine
+
+
+def test_bad_field_names_column_and_line(tmp_path):
+    path = tmp_path / "pt.csv"
+    path.write_text("player_id,game,playtime_minutes\n1,SMB,30\n-4,SMB,30\n")
+    with pytest.raises(ParseError) as err:
+        fileio.read_playtime_csv(path)
+    assert err.value.line == 3
+    assert "player_id" in str(err.value) and "'-4'" in str(err.value)
+    path.write_text("player_id,game,playtime_minutes\n1,SMB,lots\n")
+    with pytest.raises(ParseError) as err:
+        fileio.read_playtime_csv(path)
+    assert err.value.line == 2 and "playtime_minutes" in str(err.value)
+
+
+def _format_value_oracle(v: float) -> str:
+    """The number rule, one cell at a time."""
+    if v == int(v) and abs(v) < 2**53:
+        return str(int(v))
+    return repr(float(v))
+
+
+def test_panel_cells_follow_the_number_rule(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 3 * fileio._WRITE_BLOCK // 2  # two blocks, the second one partial
+    special = np.array([0.0, -0.0, 1.0, -3.0, 0.1, 1 / 3, 2.0**53 - 1,
+                        2.0**53, 1e16, -1e22, 1.5e-7, 5e-324, 1.7976931348623157e308])
+    values = np.concatenate([
+        special, rng.integers(0, 4, n // 2) / rng.integers(1, 7, n // 2),
+        rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)])[:n]
+    panel_cols = {name: np.roll(values, k) for k, name in enumerate(fileio.PANEL_COLUMNS)}
+
+    class Stub:
+        player = np.arange(n, dtype=np.int64) + 76561197960265728
+        week = np.full(n, 3, dtype=np.int64)
+        meta = {}
+
+        def column(self, name):
+            return panel_cols[name]
+
+    path = tmp_path / "panel.csv"
+    fileio.write_panel_csv(path, Stub())
+    lines = path.read_text().splitlines()
+    assert len(lines) == n + 1
+    for i, line in enumerate(lines[1:]):
+        want = [str(Stub.player[i]), "3"] + [_format_value_oracle(panel_cols[c][i])
+                                             for c in fileio.PANEL_COLUMNS]
+        assert line == ",".join(want), i
+    cols, _ = fileio.read_panel_csv(path)
+    assert np.array_equal(cols["player"], Stub.player)
+    for name in fileio.PANEL_COLUMNS:
+        assert np.array_equal(cols[name], panel_cols[name])
 
 
 def test_json_roundtrip_numpy_types(tmp_path):

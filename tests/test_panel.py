@@ -488,7 +488,7 @@ def test_playtime_rows_no_friend_case():
     sched = {"SMB": AdoptionSchedule("SMB", np.array([1], dtype=np.int64),
                                      np.array([5], dtype=np.int64))}
     tags = make_tags()
-    rows = build_playtime_crosssection(net, sched, tags, {(1, "SMB"): 120},
+    rows = build_playtime_crosssection(net, sched, tags, ([1], ["SMB"], [120]),
                                        cov_for([1, 2]))
     assert len(rows) == 1
     r = rows[0]
@@ -504,7 +504,7 @@ def test_playtime_first_friend_can_be_both_kp_and_of():
                                      np.array([8, 2], dtype=np.int64))}
     tags = PeerTags(np.array([2], dtype=np.int64),
                     np.array([[1, 2]], dtype=np.int64), 9, 0, 0.99, 1.0)
-    rows = build_playtime_crosssection(net, sched, tags, {(1, "SMB"): 60},
+    rows = build_playtime_crosssection(net, sched, tags, ([1], ["SMB"], [60]),
                                        cov_for([1, 2]))
     r = rows[0]
     assert (r.kp_purchase, r.of_purchase, r.no_friend_purchase) == (1, 1, 0)
@@ -514,16 +514,34 @@ def test_playtime_exclusion_diagnostics():
     net = build_network([(1, 2, 0), (3, 4, 0)])
     sched = {"SMB": AdoptionSchedule("SMB", np.array([1, 3], dtype=np.int64),
                                      np.array([5, 5], dtype=np.int64))}
-    playtimes = {(1, "SMB"): 0.2,    # below one minute
-                 (2, "SMB"): 100,    # never purchased
-                 (3, "SMB"): 100,    # no covariate row
-                 (9, "SMB"): 100}    # not in the network
+    playtimes = ([1, 2, 3, 9], ["SMB"] * 4,
+                 [0.2,     # below one minute
+                  100,     # never purchased
+                  100,     # no covariate row
+                  100])    # not in the network
     diag = {}
     rows = build_playtime_crosssection(net, sched, make_tags(), playtimes,
                                        cov_for([1, 2]), diagnostics=diag)
     assert len(rows) == 0
     assert diag == {"no_purchase": 1, "below_minimum": 1, "no_covariates": 1,
-                    "not_in_network": 1}
+                    "not_in_network": 1, "duplicate": 0}
+
+
+def test_playtime_repeated_pair_keeps_last_row_and_counts_the_rest():
+    net = build_network([(1, 2, 0), (1, 3, 0)])
+    sched = {g: AdoptionSchedule(g, np.array([1, 2, 3], dtype=np.int64),
+                                 np.array([5, 5, 5], dtype=np.int64))
+             for g in ("SMB", "NV")}
+    playtimes = ([3, 1, 2, 1, 1, 3], ["SMB", "SMB", "NV", "NV", "SMB", "SMB"],
+                 [60, 120, 180, 240, 300, 360])
+    diag = {}
+    rows = build_playtime_crosssection(net, sched, make_tags(), playtimes,
+                                       cov_for([1, 2, 3]), diagnostics=diag)
+    assert [(r.player, r.game) for r in rows] == [(1, "NV"), (1, "SMB"),
+                                                  (2, "NV"), (3, "SMB")]
+    assert np.allclose(rows.log_playtime, np.log([4.0, 5.0, 3.0, 6.0]))
+    assert diag["duplicate"] == 2
+    assert len(rows) + sum(diag.values()) == len(playtimes[0])
 
 
 def test_playtime_log_floors_at_one_hour():
@@ -531,7 +549,7 @@ def test_playtime_log_floors_at_one_hour():
     sched = {"SMB": AdoptionSchedule("SMB", np.array([1], dtype=np.int64),
                                      np.array([5], dtype=np.int64))}
     rows = build_playtime_crosssection(net, sched, make_tags(),
-                                       {(1, "SMB"): 30}, cov_for([1]))
+                                       ([1], ["SMB"], [30]), cov_for([1]))
     assert rows[0].log_playtime == 0.0
 
 
@@ -555,14 +573,16 @@ def test_playtime_rows_match_scan_oracle(seed, ids):
     sched = {"SMB": AdoptionSchedule("SMB", buyers, weeks)}
     tags = tag_peers(net, katz_centrality(net, 26), 30, percentile=0.8,
                      min_age_weeks=18)
-    playtimes = {(ids(int(p)), "SMB"): int(rng.integers(1, 600))
-                 for p in rng.choice(n, 50, replace=False)}
-    rows = build_playtime_crosssection(net, sched, tags, playtimes,
-                                       cov_for([ids(k) for k in range(n)]))
+    pt_players = [ids(int(p)) for p in rng.choice(n, 50, replace=False)]
+    pt_minutes = [int(rng.integers(1, 600)) for _ in pt_players]
+    playtimes = dict(zip(pt_players, pt_minutes))
+    rows = build_playtime_crosssection(
+        net, sched, tags, (pt_players, ["SMB"] * len(pt_players), pt_minutes),
+        cov_for([ids(k) for k in range(n)]))
     purchases = dict(zip(buyers.tolist(), weeks.tolist()))
     by_player = {r.player: r for r in rows}
     n_expected = 0
-    for (p, _), minutes in sorted(playtimes.items()):
+    for p, minutes in sorted(playtimes.items()):
         own = purchases.get(p)
         if own is None or p not in adj:
             assert p not in by_player
