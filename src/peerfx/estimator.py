@@ -16,19 +16,21 @@ block partials.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
 
 from .errors import (InsufficientClustersError, InvalidParameterError,
                      RankDeficientError, WeakIdentificationError)
 
 _BLOCK_ROWS = 1 << 20  # fixed reduction block for deterministic accumulation
 _DEGENERATE_RTOL = 1e-8
+_SQRT2 = math.sqrt(2.0)
 
 
 def _raw_col(panel, name: str):
@@ -166,6 +168,11 @@ class DesignSpec:
             raise InvalidParameterError("at most two endogenous columns are supported")
 
 
+def _two_sided_p(z: float) -> float:
+    """Normal-approximation two-sided p-value of a z statistic, 2*(1 - Phi(|z|))."""
+    return math.erfc(abs(z) / _SQRT2)
+
+
 @dataclass
 class FitResult:
     """Named coefficients with cluster-robust covariance and diagnostics.
@@ -199,10 +206,10 @@ class FitResult:
         return self.coef / self.se
 
     def pvalues(self) -> np.ndarray:
-        return 2.0 * stats.norm.sf(np.abs(self.tstats()))
+        return np.array([_two_sided_p(z) for z in self.tstats()], dtype=np.float64)
 
     def conf_int(self, level: float = 0.95) -> np.ndarray:
-        half = stats.norm.ppf(0.5 + level / 2.0) * self.se
+        half = NormalDist().inv_cdf(0.5 + level / 2.0) * self.se
         return np.column_stack((self.coef - half, self.coef + half))
 
     def coef_of(self, term: str) -> float:
@@ -222,7 +229,7 @@ class FitResult:
         lines.append(f"{'term':<16}{'estimate':>14}{'se':>12}{'z':>10}{'p':>10}")
         for i, term in enumerate(self.terms):
             z = self.coef[i] / self.se[i] if self.se[i] > 0 else float("inf")
-            p = 2.0 * stats.norm.sf(abs(z))
+            p = _two_sided_p(z)
             lines.append(f"{term:<16}{self.coef[i]:>14.6f}{self.se[i]:>12.6f}"
                          f"{z:>10.3f}{p:>10.4f}")
         if self.ar_stat is not None:

@@ -13,6 +13,7 @@ import csv
 import gzip
 import json
 import os
+import re
 import tempfile
 import warnings
 from contextlib import contextmanager
@@ -111,7 +112,9 @@ def _read_table(path, header, kinds):
         if got is None:
             raise ParseError(f"{path}: empty file, expected header {','.join(header)}", 1)
         _check_header(got, header, path)
-        for line, row in enumerate(reader, start=2):
+        end = 1
+        for row in reader:  # a quoted line break makes a row span file lines
+            line, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != width:
@@ -134,17 +137,31 @@ _COVARIATE_HEADER = ("player_id", "num_games", "num_groups", "start_week")
 _WRITE_BLOCK = 4096
 
 
-def _format_column(values: np.ndarray) -> np.ndarray:
+# a text cell holding one of these is quoted (RFC 4180)
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _quote(cell: str) -> str:
+    if _NEEDS_QUOTES.search(cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _format_column(values: np.ndarray) -> list:
     """Text of each cell.  Integers print as integers; so do integral floats
-    below 2**53, and any other float prints as its shortest round-trip repr."""
+    below 2**53, and any other float prints as its shortest round-trip repr.
+    Text holding a comma, a quote or a line break is quoted."""
+    if values.dtype.kind in "OU":
+        cells = values.astype(str).tolist()
+        return list(map(_quote, cells)) if _NEEDS_QUOTES.search("".join(cells)) else cells
     if values.dtype.kind != "f":
-        return values.astype(str)
+        return values.astype(str).tolist()
     integral = (values == np.trunc(values)) & (np.abs(values) < 2.0**53)
     if integral.all():
-        return values.astype(np.int64).astype(str)
+        return values.astype(np.int64).astype(str).tolist()
     text = values.astype(str)
     text[integral] = values[integral].astype(np.int64).astype(str)
-    return text
+    return text.tolist()
 
 
 def _write_table(path, header, columns):
@@ -154,7 +171,7 @@ def _write_table(path, header, columns):
     with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
         for s in range(0, n, _WRITE_BLOCK):
-            cells = [_format_column(c[s:s + _WRITE_BLOCK]).tolist() for c in columns]
+            cells = [_format_column(c[s:s + _WRITE_BLOCK]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

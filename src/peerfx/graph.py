@@ -34,13 +34,6 @@ def week_of_unix(unix, epoch_unix: int = 0):
     return (np.asarray(unix, dtype=np.int64) - np.int64(epoch_unix)) // WEEK_SECONDS
 
 
-@dataclass(frozen=True)
-class TemporalEdge:
-    a: int
-    b: int
-    formed: int
-
-
 class TemporalNetwork:
     """Immutable undirected graph with per-edge formation weeks.
 
@@ -158,7 +151,7 @@ def _as_edge_arrays(edges):
 
 
 def build_network(
-    edges: Iterable[TemporalEdge] | tuple,
+    edges: Iterable[tuple[int, int, int]] | tuple,
     node_filter: Callable[[np.ndarray], np.ndarray] | set | None = None,
     nodes: Sequence[int] | None = None,
     max_degree: int = DEFAULT_DEGREE_CAP,

@@ -401,6 +401,28 @@ def test_format_cell_fixture():
     assert format_cell(-0.25, 0.1) == ("-0.2500", "(0.1000)")
 
 
+def _checkout_env():
+    """The environment with the code under test first on PYTHONPATH, so a
+    child process imports it whatever its working directory (PYTHONPATH may
+    hold a relative ``src``)."""
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """Every command process imports ``peerfx.cli``; p-values and intervals
+    come from the standard library, so scipy.stats must not be loaded."""
+    probe = ("import sys, peerfx.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _series(cmd, ach, cwd, env):
     # a relative --out keeps the "wrote ..." line the same from any cwd
     cwd.mkdir()
@@ -430,12 +452,7 @@ def test_console_script_runs(tmp_path):
     launcher = tmp_path / "peerfx_launcher.py"
     launcher.write_text(
         f"import sys\nfrom {module} import {func}\nsys.exit({func}())\n")
-    # run the code under test whatever the working directory: PYTHONPATH may
-    # hold a relative ``src``
-    src = str(Path(fileio.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _checkout_env()
     ach = tmp_path / "a.csv"
     fileio.write_achievements_csv(ach, [1], ["SMB"], [5])
     want = _series([sys.executable, str(launcher)], ach,

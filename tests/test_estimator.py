@@ -10,6 +10,7 @@ import pytest
 
 from peerfx import (
     DesignSpec,
+    FitResult,
     InsufficientClustersError,
     InvalidParameterError,
     PanelConfig,
@@ -528,6 +529,47 @@ def test_playtime_bad_inputs():
 
 # ---------------------------------------------------------------------------
 # result object surface
+
+
+def _fixed_fit(z, se):
+    k = len(z)
+    return FitResult(terms=tuple(f"t{i}" for i in range(k)), coef=np.asarray(z) * se,
+                     vcov=np.diag(np.asarray(se, dtype=float) ** 2), n_obs=100,
+                     n_clusters=10, n_singletons=0, fixed_effects=("player",),
+                     cluster="player")
+
+
+def test_normal_tails_match_scipy_oracle():
+    norm = pytest.importorskip("scipy.stats").norm
+    z = np.concatenate((np.linspace(-37.0, 37.0, 297), [0.0, 1e-300, 1.959963984540054,
+                                                       -2.5758293035489, 36.99]))
+    se = np.linspace(0.01, 3.0, z.size)
+    fit = _fixed_fit(z, se)
+    t = fit.tstats()
+    assert np.all(np.abs(t) <= 37.0 + 1e-12)
+    np.testing.assert_allclose(fit.pvalues(), 2.0 * norm.sf(np.abs(t)), rtol=1e-12, atol=1e-15)
+    # past |z| = 37 both sides are subnormal
+    far = _fixed_fit(np.array([-40.0, 38.0, 39.5, 60.0]), np.ones(4))
+    np.testing.assert_allclose(far.pvalues(), 2.0 * norm.sf(np.abs(far.tstats())),
+                               rtol=0, atol=1e-15)
+    # intervals in units where 1e-14 is many ulps: |coef| <= 3, se <= 1
+    near = _fixed_fit(np.linspace(-3.0, 3.0, 61), np.linspace(0.01, 1.0, 61))
+    for level in (0.8, 0.9, 0.95, 0.99):
+        half = norm.ppf(0.5 + level / 2.0) * near.se
+        want = np.column_stack((near.coef - half, near.coef + half))
+        np.testing.assert_allclose(near.conf_int(level), want, rtol=0, atol=1e-14)
+
+
+def test_summary_p_column_matches_scipy_oracle():
+    norm = pytest.importorskip("scipy.stats").norm
+    fit = _fixed_fit([0.3, -1.96, 2.5758, 4.0, 0.7], [0.5, 1.0, 2.0, 0.25, 0.0])
+    rows = fit.summary().splitlines()[-5:]
+    for i, row in enumerate(rows):
+        se = fit.se[i]
+        z = fit.coef[i] / se if se > 0 else float("inf")  # se == 0 prints z = inf, p = 0
+        p = 2.0 * norm.sf(abs(z))
+        assert row == (f"{fit.terms[i]:<16}{fit.coef[i]:>14.6f}{se:>12.6f}"
+                       f"{z:>10.3f}{p:>10.4f}")
 
 
 def test_fit_result_summary_and_confint():

@@ -77,6 +77,32 @@ def test_playtime_roundtrip(tmp_path):
     assert (players[1], games[1], minutes[1]) == (2, "NV", 30.5)
 
 
+@pytest.mark.parametrize("write, read", [
+    (fileio.write_achievements_csv, fileio.read_achievements_csv),
+    (fileio.write_playtime_csv, fileio.read_playtime_csv),
+], ids=["achievements", "playtime"])
+def test_text_cells_are_quoted_and_round_trip(tmp_path, write, read):
+    games = ["Fallout, New Vegas", 'The "Witcher"', "Line\nbreak", "Carriage\rreturn", "SMB"]
+    players = list(range(1, len(games) + 1))
+    path = tmp_path / "t.csv"
+    write(path, players, games, [7] * len(games))
+    got_players, got_games, _ = read(path)
+    assert got_players.tolist() == players
+    assert got_games.tolist() == games
+    with open(path, newline="") as fh:
+        text = fh.read()
+    assert '\n1,"Fallout, New Vegas",' in text and '\n2,"The ""Witcher""",' in text
+    assert '\n3,"Line\nbreak",' in text and '\n4,"Carriage\rreturn",' in text
+    assert "\n5,SMB," in text  # a cell without a special character stays bare
+    # the row after a quoted line break is reported at its own file line
+    write(path, players[:3], games[:3], [7] * 3)
+    with open(path, "a") as fh:
+        fh.write("x,SMB,7\n")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert err.value.line == 6
+
+
 def test_covariates_roundtrip_sorted(tmp_path):
     path = tmp_path / "cov.csv"
     fileio.write_covariates_csv(path, [5, 1], [10, 20], [2, 3], [7, 8])
