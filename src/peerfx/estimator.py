@@ -3,9 +3,12 @@
 Player and week effects are absorbed exactly: demean by player, then solve
 one small week-by-week least-squares system, with no iteration even on
 censored or disconnected panels; a PanelDataset demeans each column once for
-all its fits.  Coefficients come from normal equations with a pivoted
-decomposition (the regressor count is tiny, the row count is huge);
-covariance is the CR1 cluster sandwich.  2SLS is just-identified only:
+all its fits.  Coefficients come from normal equations (the regressor count
+is tiny, the row count is huge) solved by numpy; a singular-value screen
+proves most systems full rank, and only one that fails it is handed to
+scipy's pivoted QR, which decides the rank and names the collinear columns.
+So a fit imports numpy alone unless its design is (nearly) collinear.
+Covariance is the CR1 cluster sandwich.  2SLS is just-identified only:
 beta = (Z'X)^-1 Z'y after demeaning, which keeps the reduced-form /
 first-stage ratio identity exact.
 
@@ -23,7 +26,6 @@ from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (InsufficientClustersError, InvalidParameterError,
                      RankDeficientError, WeakIdentificationError)
@@ -258,16 +260,28 @@ def _drop_degenerate(names, transformed, originals):
 
 
 def _solve_pivoted(A: np.ndarray, b: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Solve A beta = b with a pivoted-QR rank check naming collinear columns."""
-    if A.shape[0] == 0:
+    """Solve A beta = b, raising RankDeficientError naming collinear columns.
+
+    The rank rule is pivoted QR's: |R_kk| > tol for every k, with
+    tol = |R_11| * K * eps * 100 and |R_11| the largest column norm of A.
+    For triangular R, min |R_kk| >= sigma_min(R) = sigma_min(A), so
+    sigma_min(A) > 2 * tol proves full rank under that rule (the factor 2
+    covers rounding in either factorization) and A is solved directly.
+    Any other A gets the pivoted QR itself, which also rejects NaN and inf.
+    """
+    K = A.shape[0]
+    if K == 0:
         raise RankDeficientError(tuple(names))
-    _, R, piv = scipy.linalg.qr(A, pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = diag.max() * A.shape[0] * np.finfo(np.float64).eps * 100 if diag.size else 0.0
-    rank = int((diag > tol).sum())
-    if rank < A.shape[0]:
-        raise RankDeficientError(tuple(names[p] for p in piv[rank:]))
-    return scipy.linalg.solve(A, b)
+    rtol = K * np.finfo(np.float64).eps * 100
+    tol = np.linalg.norm(A, axis=0).max() * rtol
+    if not (np.isfinite(tol) and np.linalg.svd(A, compute_uv=False)[-1] > 2 * tol):
+        import scipy.linalg
+        _, R, piv = scipy.linalg.qr(A, pivoting=True)
+        diag = np.abs(np.diag(R))
+        rank = int((diag > diag.max() * rtol).sum())
+        if rank < K:
+            raise RankDeficientError(tuple(names[p] for p in piv[rank:]))
+    return np.linalg.solve(A, b)
 
 
 def _cluster_scores(S: np.ndarray, u: np.ndarray, codes: np.ndarray, G: int) -> np.ndarray:
@@ -294,7 +308,7 @@ def clustered_vcov(residuals: np.ndarray, X: np.ndarray, clusters,
         raise InsufficientClustersError(f"need at least 2 clusters, got {G}")
     N, K = X.shape
     XtX = _crossprod(X, X, threads=threads)
-    bread = scipy.linalg.solve(XtX, np.eye(K), assume_a="sym")
+    bread = np.linalg.solve(XtX, np.eye(K))
     S = _cluster_scores(X, u, uniq.astype(np.int64), G)
     meat = _crossprod(S, S, threads=threads)
     V = bread @ meat @ bread.T * _cr1_factor(G, N, K)
@@ -373,7 +387,7 @@ def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads,
         raise InsufficientClustersError(f"need at least 2 clusters, got {G}")
     sizes = np.bincount(codes)
     K = X.shape[1]
-    bread = scipy.linalg.solve(ZtX, np.eye(K))
+    bread = np.linalg.solve(ZtX, np.eye(K))
     S = _cluster_scores(Z, resid, codes, G)
     meat = _crossprod(S, S, threads=threads)
     V = bread @ meat @ bread.T * _cr1_factor(G, n, K)

@@ -65,7 +65,7 @@ def _check_header(got, want, path):
 _ID = (int, 0, "a non-negative integer id", np.int64)
 _INT = (int, None, "an integer", np.int64)
 _FLOAT = (float, None, "a number", np.float64)
-_TEXT = (str.strip, None, "text", object)
+_TEXT = (str, None, "text", object)  # verbatim: spaces belong to the field
 
 # rows buffered, then parsed column by column into arrays
 _READ_BLOCK = 2048

@@ -12,12 +12,14 @@ the heterogeneity regressors are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DivergedError, InvalidParameterError, NotFoundError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 WEEK_SECONDS = 604800
 
@@ -121,6 +123,7 @@ class TemporalNetwork:
 
     def csr_at(self, t: int) -> sp.csr_matrix:
         """0/1 adjacency of the week-t view as a scipy CSR matrix."""
+        import scipy.sparse as sp  # only the sparse-matrix paths pay for it
         keep = self.formed <= t
         csum = np.zeros(self.nbr.size + 1, dtype=np.int64)
         np.cumsum(keep, out=csum[1:])
@@ -257,30 +260,23 @@ def second_degree_counts(net: TemporalNetwork, players, t: int,
                          block: int = 2048) -> np.ndarray:
     """|second_degree_at(i, t)| for many players, in fixed-size row blocks.
 
-    The per-block sparse product A[rows] @ A materializes each block's
-    second-degree sets and immediately reduces them to counts, so memory
+    Nodes within two hops of i are the nonzero columns of row i of
+    (A+I) @ (A+I); dropping i and its deg_t(i) friends leaves the second
+    degree.  Each block's product is reduced to counts at once, so memory
     stays bounded on dense networks (full materialization at mean degree
-    ~100 would need gigabytes).  Block order is fixed → deterministic.
+    ~100 would need gigabytes).  The int32 path counts are positive, so no
+    entry cancels to zero and drops out.  Block order is fixed →
+    deterministic.
     """
+    import scipy.sparse as sp
     idx = net.indices_of(players)
     A = net.csr_at(t)
-    A_bool = A.copy()
-    A_bool.data = np.ones_like(A_bool.data)
+    reach = A + sp.identity(net.n_nodes, dtype=np.int32, format="csr")
     out = np.zeros(idx.size, dtype=np.int64)
     for s in range(0, idx.size, block):
         rows = idx[s:s + block]
-        sub = A_bool[rows]
-        paths = sub @ A_bool              # path counts i -> j -> k
-        paths.data = np.ones_like(paths.data)
-        # mask out direct friends and the player itself
-        mask = sub.copy()
-        ii = sp.csr_matrix(
-            (np.ones(rows.size, dtype=np.int32),
-             (np.arange(rows.size), rows)), shape=sub.shape)
-        mask = ((mask + ii) > 0).astype(np.int32)
-        hits = paths.multiply(mask)
-        out[s:s + rows.size] = paths.getnnz(axis=1) - hits.getnnz(axis=1)
-    return out
+        out[s:s + rows.size] = (reach[rows] @ reach).getnnz(axis=1)
+    return out - np.diff(A.indptr)[idx] - 1
 
 
 @dataclass

@@ -412,15 +412,30 @@ def _checkout_env():
     return env
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """Every command process imports ``peerfx.cli``; p-values and intervals
-    come from the standard library, so scipy.stats must not be loaded."""
-    probe = ("import sys, peerfx.cli; print(sorted(m for m in sys.modules "
-             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+def test_cli_import_and_fits_load_no_scipy(panel_path, tmp_path):
+    """Every command process imports ``peerfx.cli``.  That import, and the
+    ``estimate`` and ``heterogeneity --method 2sls`` fits on a full-rank
+    panel, run on numpy alone: scipy.sparse is loaded by the commands that
+    build sparse matrices and scipy.linalg only when a design fails the
+    rank screen."""
+    probe = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from peerfx.cli import main\n"
+        "print(scipy_modules())\n"
+        f"assert main(['estimate', '--panel', {str(panel_path)!r},\n"
+        f"             '--out', {str(tmp_path / 'est')!r}]) == 0\n"
+        f"assert main(['heterogeneity', '--method', '2sls',\n"
+        f"             '--panel', {str(panel_path)!r},\n"
+        f"             '--out', {str(tmp_path / 'het')!r}]) == 0\n"
+        "print(scipy_modules())\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=_checkout_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
 
 
 def _series(cmd, ach, cwd, env):

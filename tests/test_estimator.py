@@ -186,7 +186,80 @@ def test_ols_duplicate_column_names_the_culprit():
     d["x_copy"] = d["x"].copy()
     with pytest.raises(RankDeficientError) as err:
         ols_fit(d, DesignSpec(outcome="y", exog=("x", "x_copy")))
-    assert "x" in str(err.value)
+    assert err.value.columns == ("x_copy",)
+
+
+def _pivoted_qr_culprits(A, names):
+    """The rank rule stated through scipy's pivoted QR alone: |R_kk| must
+    exceed |R_11| * K * eps * 100.  Names of the columns pivoted past the
+    rank, () when A is full rank."""
+    import scipy.linalg
+    _, R, piv = scipy.linalg.qr(A, pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int((diag > diag.max() * A.shape[0] * np.finfo(np.float64).eps * 100).sum())
+    return tuple(names[p] for p in piv[rank:])
+
+
+def _rank_case(case):
+    """(square normal-equation matrix, column names, whether the singular
+    value screen must hand it to the pivoted QR)."""
+    rng = np.random.default_rng(41)
+    names = ["a", "b", "c", "d", "e"]
+    X = rng.normal(size=(60, 3))
+    if case == "duplicate":
+        X = np.column_stack((X, X[:, 1]))
+    elif case == "collinear_pair":
+        X = np.column_stack((X, X[:, 0] - 2.0 * X[:, 1], 3.0 * X[:, 2]))
+    elif case == "zero_column":
+        X = np.column_stack((X[:, :2], np.zeros(60), X[:, 2]))
+    if case not in ("fallback_band", "ill_conditioned"):
+        return X.T @ X, names[:X.shape[1]], True
+    K = 4
+    U = np.linalg.qr(rng.normal(size=(K, K)))[0]
+    V = np.linalg.qr(rng.normal(size=(K, K)))[0]
+    s = np.geomspace(1.0, 1e-10, K) if case == "ill_conditioned" else np.array([1.0, 0.7, 0.4, 0.0])
+    if case == "fallback_band":  # sigma_min = 1.5 tol: full rank, but not proved so
+        for _ in range(3):
+            A = U @ np.diag(s) @ V.T
+            s[-1] = 1.5 * np.linalg.norm(A, axis=0).max() * K * np.finfo(np.float64).eps * 100
+    return U @ np.diag(s) @ V.T, names[:K], case == "fallback_band"
+
+
+@pytest.mark.parametrize("case", ["duplicate", "collinear_pair", "zero_column",
+                                  "fallback_band", "ill_conditioned"])
+def test_solve_pivoted_matches_pivoted_qr_oracle(case, monkeypatch):
+    import scipy.linalg
+    from peerfx.estimator import _solve_pivoted
+    A, names, via_qr = _rank_case(case)
+    K = A.shape[0]
+    tol = np.linalg.norm(A, axis=0).max() * K * np.finfo(np.float64).eps * 100
+    smin = np.linalg.svd(A, compute_uv=False)[-1]
+    if case == "fallback_band":
+        assert tol < smin <= 2 * tol
+    culprits = _pivoted_qr_culprits(A, names)
+    assert bool(culprits) == (case in ("duplicate", "collinear_pair", "zero_column"))
+    if case == "collinear_pair":
+        assert len(culprits) == 2
+    qr, calls = scipy.linalg.qr, []
+    monkeypatch.setattr(scipy.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    b = np.arange(1.0, K + 1.0)
+    if culprits:
+        with pytest.raises(RankDeficientError) as err:
+            _solve_pivoted(A, b, names)
+        assert err.value.columns == culprits
+    else:
+        want = scipy.linalg.solve(A, b)
+        got = _solve_pivoted(A, b, names)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert bool(calls) == via_qr
+
+
+def test_solve_pivoted_non_finite_goes_to_pivoted_qr():
+    from peerfx.estimator import _solve_pivoted
+    A = np.eye(3)
+    A[1, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _solve_pivoted(A, np.ones(3), ["a", "b", "c"])
 
 
 def test_ols_degenerate_column_dropped_with_note():

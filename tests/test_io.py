@@ -82,7 +82,8 @@ def test_playtime_roundtrip(tmp_path):
     (fileio.write_playtime_csv, fileio.read_playtime_csv),
 ], ids=["achievements", "playtime"])
 def test_text_cells_are_quoted_and_round_trip(tmp_path, write, read):
-    games = ["Fallout, New Vegas", 'The "Witcher"', "Line\nbreak", "Carriage\rreturn", "SMB"]
+    games = ["Fallout, New Vegas", 'The "Witcher"', "Line\nbreak", "Carriage\rreturn", "SMB",
+             " SMB ", "SMB "]  # spaces are part of a field (RFC 4180)
     players = list(range(1, len(games) + 1))
     path = tmp_path / "t.csv"
     write(path, players, games, [7] * len(games))
@@ -94,6 +95,7 @@ def test_text_cells_are_quoted_and_round_trip(tmp_path, write, read):
     assert '\n1,"Fallout, New Vegas",' in text and '\n2,"The ""Witcher""",' in text
     assert '\n3,"Line\nbreak",' in text and '\n4,"Carriage\rreturn",' in text
     assert "\n5,SMB," in text  # a cell without a special character stays bare
+    assert "\n6, SMB ," in text and "\n7,SMB ," in text
     # the row after a quoted line break is reported at its own file line
     write(path, players[:3], games[:3], [7] * 3)
     with open(path, "a") as fh:
