@@ -166,7 +166,9 @@ def build_network(
     edges : iterable of (a, b, formed_week) or a tuple of three arrays
         May contain duplicates and both orientations; the EARLIEST formation
         week per unordered pair wins.  Self loops are dropped and counted in
-        ``diagnostics`` (not fatal).
+        ``diagnostics`` (not fatal).  Weeks must lie in [0, NEVER), i.e.
+        below 2**31 - 1, so a far-future or microsecond timestamp is an
+        error rather than a wrapped int32.
     node_filter : callable, set, or None
         Either a vectorized predicate ``ids -> bool array`` or a set of ids to
         keep.  Nodes failing the filter are removed with all incident edges.
@@ -176,12 +178,19 @@ def build_network(
         are dropped; otherwise the universe is the union of edge endpoints.
     max_degree : int
         Degree cap (platform maximum); a node exceeding it is an error.
+
+    The pair dedupe and the CSR order are each one argsort of a packed
+    int64 key over dense node indices (``lo * n + hi``, then
+    ``row * n + col``), exact for n < 3.0e9 nodes.
     """
     a, b, f = _as_edge_arrays(edges)
     if a.size and (a.min() < 0 or b.min() < 0):
         raise InvalidParameterError("player ids must be non-negative")
     if f.size and f.min() < 0:
         raise InvalidParameterError("formation weeks must be non-negative")
+    if f.size and f.max() >= NEVER:
+        raise InvalidParameterError(
+            f"formation week {int(f.max())} is not below {int(NEVER)}, the never-formed sentinel")
 
     diagnostics = {"self_loops": 0, "duplicates": 0, "filtered_nodes": 0, "filtered_edges": 0}
 
@@ -218,24 +227,27 @@ def build_network(
     else:
         ia = ib = np.zeros(0, dtype=np.int64)
 
-    # Deduplicate unordered pairs keeping the earliest formation week.
-    lo = np.minimum(ia, ib)
-    hi = np.maximum(ia, ib)
-    if lo.size:
-        order = np.lexsort((f, hi, lo))
-        lo, hi, f = lo[order], hi[order], f[order]
-        first = np.ones(lo.size, dtype=bool)
-        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        diagnostics["duplicates"] = int((~first).sum())
-        lo, hi, f = lo[first], hi[first], f[first]
+    # Deduplicate unordered pairs keeping the earliest formation week; the
+    # order among a pair's duplicates is irrelevant to their minimum.
+    n = universe.size
+    if n > 3_037_000_499:
+        raise InvalidParameterError(f"{n} nodes overflow the int64 pair key")
+    pair = np.minimum(ia, ib) * n + np.maximum(ia, ib)
+    order = np.argsort(pair)
+    pair, f = pair[order], f[order]
+    first = np.ones(pair.size, dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    starts = np.flatnonzero(first)
+    diagnostics["duplicates"] = int(pair.size - starts.size)
+    f = np.minimum.reduceat(f, starts)
+    pair = pair[starts]
+    lo, hi = np.divmod(pair, n)
 
     # Symmetrize and build CSR sorted by (row, neighbor id).
-    n = universe.size
-    rows = np.concatenate((lo, hi))
-    cols = np.concatenate((hi, lo))
-    wks = np.concatenate((f, f))
-    order = np.lexsort((cols, rows))
-    rows, cols, wks = rows[order], cols[order], wks[order]
+    key = np.concatenate((pair, hi * n + lo))
+    order = np.argsort(key)
+    rows, cols = np.divmod(key[order], n)
+    wks = np.concatenate((f, f))[order]
     deg = np.bincount(rows, minlength=n).astype(np.int64)
     if deg.size and deg.max() > max_degree:
         worst = int(universe[int(np.argmax(deg))])

@@ -275,66 +275,121 @@ def _gather_edges(net: TemporalNetwork, sample_idx: np.ndarray):
     return rows, net.nbr[pos].astype(np.int64), net.formed[pos].astype(np.int64)
 
 
-def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, keep_level1=None,
-              direct_keys=None, direct_formed=None, chunk_paths=8_000_000):
+# Flag bits of a packed second-degree path key: bit v marks a path whose
+# first hop passes the v-th level-1 mask (all / key-player middle / old friend).
+_SD_FLAG_BITS = 3
+
+
+def _sd_block_rows(block: int, n_nodes: int, max_week: int) -> int:
+    """Rows per panel block whose packed second-degree keys fit in 63 bits.
+
+    A key spends bit_length(rows * n_nodes - 1) bits on the (row, k) pair,
+    bit_length(max_week) on the week and ``_SD_FLAG_BITS`` on the flags (see
+    :func:`_sd_pairs`).  Returns ``block`` lowered to the largest row count
+    that fits; raises when not even one row does.
+    """
+    free = 63 - _SD_FLAG_BITS - int(max_week).bit_length()
+    fit = (1 << free) // max(int(n_nodes), 1) if free >= 0 else 0
+    if fit < 1:
+        raise InvalidParameterError(
+            f"{n_nodes} nodes with formation weeks up to {max_week} do not fit "
+            "a 63-bit second-degree path key")
+    return min(int(block), fit)
+
+
+def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks, chunk_paths=8_000_000):
     """Unique second-degree pairs reachable through the given level-1 edges.
 
-    Returns (row, k_idx, w2, f_direct): per unique (row, k) the earliest
-    week the pair is path-connected (min over paths of max(f_ij, f_jk)) and
-    the week a DIRECT i-k edge forms (NEVER when none) — membership in the
-    second-degree set at week t is ``w2 <= t < f_direct``.
+    ``rows, j_idx, f_ij`` are the level-1 edges of a block of sampled nodes
+    (``sample_idx``), as :func:`_gather_edges` returns them.  Yields one
+    (row, k_idx, w2, f_direct) tuple per entry of ``masks``, in order: per
+    unique (row, k) the earliest week the pair is path-connected (min over
+    paths of max(f_ij, f_jk)) and the week a DIRECT i-k edge forms (NEVER
+    when none), sorted by (row, k).  Membership in the second-degree set at
+    week t is ``w2 <= t < f_direct``.  A mask (a boolean array over the
+    level-1 edges, or None for all) restricts the first hop, e.g. to
+    key-player middle nodes or old-friend edges; the direct-edge exclusion
+    always uses every level-1 edge.
 
-    ``keep_level1`` restricts the first hop (key-player middle nodes /
-    old-friend edges); the direct-edge exclusion always uses the full edge
-    set, passed in via sorted ``direct_keys``/``direct_formed``.
+    Every two-hop path is expanded once (in chunks of about ``chunk_paths``)
+    into one int64 key, ``((row * n + k) << wbits | w2) << 3 | flags``,
+    where ``wbits`` is the bit length of the latest formation week and flag
+    bit v is set when the path's first hop passes mask v.  One value sort
+    then orders the paths by (row, k, w2).  The direct-edge lookup runs once
+    over the unique (row, k) pairs.  Each mask's earliest path per pair is
+    the first path in the pair's group carrying its flag, because a masked
+    subsequence of a sorted array is still sorted.  A block whose
+    ``sample_idx.size`` rows exceed the key's 63-bit budget (see
+    :func:`_sd_block_rows`) raises, so a key never wraps.  Results are
+    yielded one mask at a time so only one mask's arrays are alive at once.
     """
-    if keep_level1 is not None:
-        rows, j_idx, f_ij = rows[keep_level1], j_idx[keep_level1], f_ij[keep_level1]
     n = net.n_nodes
-    deg = np.diff(net.indptr)
-    lens2 = deg[j_idx]
-    out_rows, out_k, out_w2 = [], [], []
+    max_week = int(net.formed.max()) if net.formed.size else 0
+    if _sd_block_rows(sample_idx.size, n, max_week) < sample_idx.size:
+        raise InvalidParameterError(
+            f"{sample_idx.size} rows x {n} nodes overflow the second-degree path key")
+    wbits = max_week.bit_length()
+    shift = wbits + _SD_FLAG_BITS
+    flags = np.zeros(rows.size, dtype=np.int64)
+    for v, keep in enumerate(masks):
+        flags[slice(None) if keep is None else keep] |= 1 << v
+
+    lens2 = np.diff(net.indptr)[j_idx]
+    parts = []
     # chunk the level-1 edge list so each expansion stays within the path budget
     csum = np.cumsum(lens2)
     start = 0
     while start < rows.size:
         stop = int(np.searchsorted(csum, (csum[start - 1] if start else 0) + chunk_paths)) + 1
         stop = min(max(stop, start + 1), rows.size)
-        r, j, f1 = rows[start:stop], j_idx[start:stop], f_ij[start:stop]
         l2 = lens2[start:stop]
         total = int(l2.sum())
         if total:
-            prow = np.repeat(r, l2)
-            pf1 = np.repeat(f1, l2)
-            shift = np.cumsum(l2) - l2
-            offs = np.arange(total, dtype=np.int64) - np.repeat(shift, l2)
-            pos = np.repeat(net.indptr[j], l2) + offs
+            prow = np.repeat(rows[start:stop], l2)
+            before = np.cumsum(l2) - l2
+            pos = np.repeat(net.indptr[j_idx[start:stop]] - before, l2)
+            pos += np.arange(total, dtype=np.int64)
             k = net.nbr[pos].astype(np.int64)
-            w2 = np.maximum(pf1, net.formed[pos].astype(np.int64))
             notself = k != sample_idx[prow]
-            out_rows.append(prow[notself])
-            out_k.append(k[notself])
-            out_w2.append(w2[notself])
+            key = prow * n
+            key += k
+            key <<= wbits
+            key |= np.maximum(np.repeat(f_ij[start:stop], l2), net.formed[pos])
+            key <<= _SD_FLAG_BITS
+            key |= np.repeat(flags[start:stop], l2)
+            parts.append(key[notself])
         start = stop
-    if not out_rows:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy(), z.copy()
-    prow = np.concatenate(out_rows)
-    k = np.concatenate(out_k)
-    w2 = np.concatenate(out_w2)
-    order = np.lexsort((w2, k, prow))
-    prow, k, w2 = prow[order], k[order], w2[order]
-    first = np.ones(prow.size, dtype=bool)
-    first[1:] = (prow[1:] != prow[:-1]) | (k[1:] != k[:-1])
-    prow, k, w2 = prow[first], k[first], w2[first]
+    key = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    del parts
+    key.sort()
 
-    f_direct = np.full(prow.size, NEVER, dtype=np.int64)
-    if direct_keys is not None and direct_keys.size:
-        q = prow * n + k
-        pos = np.minimum(np.searchsorted(direct_keys, q), direct_keys.size - 1)
-        hit = direct_keys[pos] == q
-        f_direct[hit] = direct_formed[pos[hit]]
-    return prow, k, w2, f_direct
+    # one direct-edge lookup over the unique (row, k) pairs
+    pair = key >> shift
+    head = np.ones(key.size, dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=head[1:])
+    upair = pair[head]
+    del pair
+    f_direct = np.full(upair.size, NEVER, dtype=np.int64)
+    if upair.size:
+        dkeys = rows * n + j_idx  # sorted: rows ascend, neighbors ascend per row
+        at = np.minimum(np.searchsorted(dkeys, upair), dkeys.size - 1)
+        hit = dkeys[at] == upair
+        f_direct[hit] = f_ij[at[hit]]
+    del upair
+    group = np.cumsum(head) - 1  # unique-pair index of each path
+    del head
+    for v in range(len(masks)):
+        pos = np.flatnonzero(key & (1 << v))
+        pair = key[pos] >> shift
+        first = np.ones(pos.size, dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=first[1:])
+        pos = pos[first]
+        row, k = np.divmod(pair[first], n)
+        w2 = (key[pos] >> _SD_FLAG_BITS) & ((1 << wbits) - 1)
+        fdir = f_direct[group[pos]]
+        del pos, pair, first
+        yield row, k, w2, fdir
+        del row, k, w2, fdir
 
 
 def _key_player_mask(net: TemporalNetwork, tags: PeerTags) -> np.ndarray:
@@ -360,6 +415,28 @@ def _point_add(diff_or_grid, rows, col, W):
     np.add.at(diff_or_grid, (rows[ok], col[ok]), 1)
 
 
+def _add_members(grid, denom, rows, start, end, p, lag, w0, W, absorbing):
+    """Count, per grid row, the set members who bought while in the set.
+
+    A member of its row's set from week ``start`` until ``end`` (exclusive;
+    NEVER when it stays) who bought in week ``p`` (NEVER for none) counts
+    ``lag`` weeks later: from max(start, p) until end in absorbing mode
+    (as a diff-array interval), or at p alone, when p falls inside its
+    spell, in event mode.  The mean-mode ``denom`` counts every member over
+    its spell.  Grid columns are weeks from ``w0``.
+    """
+    bought = p != NEVER
+    if absorbing:
+        _interval_add(grid, rows[bought],
+                      np.maximum(start[bought], p[bought]) + lag - w0,
+                      end[bought] + lag - w0, W)
+    else:
+        ok = bought & (start <= p) & (p < end)
+        _point_add(grid, rows[ok], p[ok] + lag - w0, W)
+    if denom is not None:
+        _interval_add(denom, rows, start + lag - w0, end + lag - w0, W)
+
+
 def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags,
                 groups: GroupAssignment, window, cfg: PanelConfig | None = None,
                 block: int = 4096) -> PanelDataset:
@@ -380,6 +457,8 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     The first window week carries no rows (the lag consumes it).  Rows are
     player-major; with ``censor_after_purchase`` rows after a player's own
     purchase week are dropped (the panel is then no longer balanced).
+    Sampled players are processed ``block`` at a time, fewer when their
+    packed second-degree path keys would not fit 63 bits.
     """
     cfg = cfg or PanelConfig()
     w0, w1 = int(window[0]), int(window[1])
@@ -403,60 +482,33 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
 
     kp_flag = _key_player_mask(net, tags)
     p_all = schedule.weeks_for(net.nodes)  # purchase week per dense index
+    block = _sd_block_rows(block, net.n_nodes,
+                           int(net.formed.max()) if net.formed.size else 0)
 
     for s in range(0, P, block):
         bidx = np.arange(s, min(s + block, P))
         sub_idx = sample_idx_all[bidx]
         rows, j_idx, f_ij = _gather_edges(net, sub_idx)
-        rows_g = bidx[rows] if rows.size else rows  # global grid rows
-        p_j = p_all[j_idx] if rows.size else j_idx
+        if rows.size == 0:
+            continue
+        rows_g = bidx[rows]  # global grid rows
+        masks = (None, kp_flag[j_idx], f_ij <= tags.old_friend_cutoff)
 
         # --- x columns: one interval / point per qualifying friend edge
-        variants = (("x_friend", None),
-                    ("x_kp", kp_flag[j_idx] if rows.size else None),
-                    ("x_of", (f_ij <= tags.old_friend_cutoff) if rows.size else None))
-        for name, keep in variants:
-            if rows.size == 0:
-                break
-            r = rows_g if keep is None else rows_g[keep]
-            f = f_ij if keep is None else f_ij[keep]
-            p = p_j if keep is None else p_j[keep]
-            bought = p != NEVER
-            if absorbing:
-                act = np.maximum(f[bought], p[bought]) - w0
-                _interval_add(grids[name], r[bought], act, np.full(act.size, W), W)
-            else:
-                ok = bought & (f <= p)
-                _point_add(grids[name], r[ok], p[ok] - w0, W)
-            if mean_mode:
-                _interval_add(denoms[name], r, f - w0, np.full(f.size, W), W)
+        for name, keep in zip(("x_friend", "x_kp", "x_of"), masks):
+            e = slice(None) if keep is None else keep
+            r = rows_g[e]
+            _add_members(grids[name], denoms[name] if mean_mode else None,
+                         r, f_ij[e], np.full(r.size, NEVER), p_all[j_idx[e]],
+                         0, w0, W, absorbing)
 
-        # --- z columns: one interval / point per unique second-degree pair
-        if rows.size:
-            dkeys = rows * net.n_nodes + j_idx  # sorted by construction
-            zvariants = (("z_sd_lag", None),
-                         ("z_kp_lag", kp_flag[j_idx]),
-                         ("z_of_lag", f_ij <= tags.old_friend_cutoff))
-            for name, keep in zvariants:
-                prow, k, w2, fdir = _sd_pairs(net, rows, j_idx, f_ij, sub_idx,
-                                              keep_level1=keep,
-                                              direct_keys=dkeys, direct_formed=f_ij)
-                if prow.size == 0:
-                    continue
-                rg = bidx[prow]
-                p_k = p_all[k]
-                bought = p_k != NEVER
-                if absorbing:
-                    # pair contributes at row week t iff max(w2, p_k) <= t-1 < fdir
-                    startc = np.maximum(w2[bought], p_k[bought]) + 1 - w0
-                    endc = np.minimum(fdir[bought], NEVER - 1) + 1 - w0
-                    _interval_add(grids[name], rg[bought], startc, endc, W)
-                else:
-                    ok = bought & (w2 <= p_k) & (p_k < fdir)
-                    _point_add(grids[name], rg[ok], p_k[ok] + 1 - w0, W)
-                if mean_mode:
-                    _interval_add(denoms[name], rg, w2 + 1 - w0,
-                                  np.minimum(fdir, NEVER - 1) + 1 - w0, W)
+        # --- z columns: one interval / point per unique second-degree pair,
+        # one variant at a time so only one variant's pairs are alive
+        sd = _sd_pairs(net, rows, j_idx, f_ij, sub_idx, masks)
+        for name, (prow, k, w2, fdir) in zip(("z_sd_lag", "z_kp_lag", "z_of_lag"), sd):
+            _add_members(grids[name], denoms[name] if mean_mode else None,
+                         bidx[prow], w2, fdir, p_all[k], 1, w0, W, absorbing)
+            del prow, k, w2, fdir
 
     # interval diffs -> running counts (event mode stores points directly)
     for name in names:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from peerfx import (DivergedError, InvalidParameterError, NotFoundError,
+from peerfx import (NEVER, DivergedError, InvalidParameterError, NotFoundError,
                     build_network, katz_centrality, tag_peers, week_of_unix)
 from peerfx.graph import second_degree_counts
 
@@ -254,3 +254,43 @@ def test_build_determinism():
     assert n1.nbr.tolist() == n2.nbr.tolist()
     assert n1.formed.tolist() == n2.formed.tolist()
     assert n1.indptr.tolist() == n2.indptr.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_is_order_free_and_matches_oracle(seed):
+    # Both orientations, repeated pairs and tied formation weeks, given in
+    # sorted and in shuffled order: the packed pair-key sorts must give one
+    # CSR, the oracle's, with every repeat counted as a duplicate.
+    rng = np.random.default_rng(seed)
+    base = random_edges(rng, 40, 300, max_week=4)
+    edges = base + [(b, a, w) for a, b, w in base[::3]] + \
+        [(a, b, w + 1) for a, b, w in base[::5]]
+    shuffled = [edges[q] for q in rng.permutation(len(edges))]
+    nets = [build_network(sorted(edges)), build_network(shuffled),
+            build_network(tuple(np.asarray(c) for c in zip(*shuffled)))]
+    adj = adjacency_oracle(edges)
+    n_pairs = sum(len(v) for v in adj.values()) // 2
+    n_loops = sum(a == b for a, b, _ in edges)
+    for net in nets:
+        for name in ("nodes", "indptr", "nbr", "formed"):
+            assert np.array_equal(getattr(net, name), getattr(nets[0], name)), name
+        assert net.diagnostics["duplicates"] == len(edges) - n_loops - n_pairs
+        assert net.nodes.tolist() == sorted(adj)
+        for ix, i in enumerate(net.nodes.tolist()):
+            lo, hi = net.indptr[ix], net.indptr[ix + 1]
+            got = dict(zip(net.nodes[net.nbr[lo:hi]].tolist(), net.formed[lo:hi].tolist()))
+            assert list(got) == sorted(adj[i])
+            assert got == adj[i]
+
+
+def test_formation_week_at_never_is_fatal():
+    # A microsecond timestamp read as seconds buckets to ~2.8e9 weeks; stored
+    # as int32 it wrapped to a negative week, so the edge counted from week 0.
+    with pytest.raises(InvalidParameterError, match="3000000000"):
+        build_network((np.array([1, 2]), np.array([2, 3]),
+                       np.array([3_000_000_000, NEVER])))
+    with pytest.raises(InvalidParameterError, match=str(int(NEVER))):
+        build_network([(2, 3, int(NEVER))])
+    net = build_network([(1, 2, 0), (2, 3, int(NEVER) - 1)])
+    assert net.formed.max() == NEVER - 1
+    assert net.neighbors_at(3, 10).tolist() == []

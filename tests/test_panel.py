@@ -27,6 +27,7 @@ from peerfx import (
     tag_peers,
 )
 from peerfx.graph import neighbors_at, second_degree_at
+from peerfx.panel import _gather_edges, _sd_block_rows, _sd_pairs
 
 from conftest import adjacency_oracle, random_edges
 
@@ -453,6 +454,111 @@ def test_panel_determinism():
     b = build_panel(net, sched, tags, groups, (25, 33), block=4096)
     for name in a.columns:
         assert np.array_equal(a.columns[name], b.columns[name]), name
+
+
+# one (i, k) pair reached three ways: 1-2-5 through plain middle 2 from
+# week 2, 1-3-5 through key player 3 from week 5, 1-4-5 over the old-friend
+# edge 1-4 (formed by the cutoff, week 1) from week 8; 1-5 forms at week 10
+VARIANT_EDGES = [(1, 2, 2), (2, 5, 2), (1, 3, 5), (3, 5, 3), (1, 4, 0),
+                 (4, 5, 8), (1, 5, 10)]
+
+
+def weeks_on(*weeks):
+    """0/1 column over the row weeks 2..12 of window (1, 12)."""
+    return [float(t in weeks) for t in range(2, 13)]
+
+
+@pytest.mark.parametrize("mode, bought, want", [
+    # absorbing: counted at row t while max(w2, p) <= t-1 < 10
+    ("absorbing", 1, (weeks_on(*range(3, 11)), weeks_on(*range(6, 11)),
+                      weeks_on(9, 10))),
+    # event: counted at row p+1 when the variant's w2 <= p < 10
+    ("event", 3, (weeks_on(4), weeks_on(), weeks_on())),
+    ("event", 6, (weeks_on(7), weeks_on(7), weeks_on())),
+    ("event", 9, (weeks_on(10), weeks_on(10), weeks_on(10))),
+], ids=["absorbing", "event-sd-only", "event-sd-kp", "event-all"])
+def test_instrument_variants_take_their_own_earliest_path(mode, bought, want):
+    # Each variant's earliest path differs, so a pick that takes the pair's
+    # earliest path and then checks its flag, or any mix-up between the
+    # variants' picks, changes a column here.
+    net = build_network(VARIANT_EDGES)
+    sched = AdoptionSchedule("SMB", np.array([5], dtype=np.int64),
+                             np.array([bought], dtype=np.int64))
+    tags = make_tags(key_players=[3], old_friend_cutoff=1)
+    panel = build_panel(net, sched, tags, make_groups([1]), (1, 12),
+                        PanelConfig(outcome_mode=mode))
+    got = tuple(panel.column(m).tolist() for m in ("z_sd_lag", "z_kp_lag", "z_of_lag"))
+    assert got == want
+
+
+def sd_pairs_oracle(net, sample_idx, keep):
+    """{(row, k): (w2, f_direct)} from a per-path scan of the adjacency."""
+    found, direct = {}, {}
+    for r, i in enumerate(sample_idx.tolist()):
+        for q in range(net.indptr[i], net.indptr[i + 1]):
+            j, f1 = int(net.nbr[q]), int(net.formed[q])
+            direct[(r, j)] = f1
+            if not keep(i, j, f1):
+                continue
+            for s in range(net.indptr[j], net.indptr[j + 1]):
+                k, w2 = int(net.nbr[s]), max(f1, int(net.formed[s]))
+                if k != i and w2 < found.get((r, k), NEVER):
+                    found[(r, k)] = w2
+    return {rk: (w2, direct.get(rk, int(NEVER))) for rk, w2 in found.items()}
+
+
+def run_sd_pairs(net, sample_idx, masks, **kw):
+    rows, j, f = _gather_edges(net, sample_idx)
+    masks = [m if m is None else m(j, f) for m in masks]
+    return [tuple(a.tolist() for a in out)
+            for out in _sd_pairs(net, rows, j, f, sample_idx, masks, **kw)]
+
+
+def test_sd_pairs_one_pass_matches_path_scan_in_any_chunking():
+    # chunk_paths=1 cuts the expansion into one chunk per level-1 edge; all
+    # chunks meet in the one sort, so the arrays must not change.
+    rng = np.random.default_rng(17)
+    net = build_network(random_edges(rng, 60, 300, max_week=40))
+    kp = np.zeros(net.n_nodes, dtype=bool)
+    kp[rng.choice(net.n_nodes, 12, replace=False)] = True
+    sample_idx = np.sort(rng.choice(net.n_nodes, 15, replace=False))
+    masks = (None, lambda j, f: kp[j], lambda j, f: f <= 15)
+    default = run_sd_pairs(net, sample_idx, masks)
+    assert run_sd_pairs(net, sample_idx, masks, chunk_paths=1) == default
+    assert run_sd_pairs(net, sample_idx, masks, chunk_paths=37) == default
+    keeps = (lambda i, j, f: True, lambda i, j, f: kp[j], lambda i, j, f: f <= 15)
+    for (row, k, w2, fdir), keep in zip(default, keeps):
+        want = sd_pairs_oracle(net, sample_idx, keep)
+        assert list(zip(row, k)) == sorted(want)
+        assert list(zip(w2, fdir)) == [want[rk] for rk in sorted(want)]
+
+
+def test_sd_pairs_empty_block_and_unset_flag():
+    net = build_network([(1, 2, 0), (2, 3, 4), (3, 4, 1)], nodes=[1, 2, 3, 4, 9])
+    empty = [([], [], [], [])] * 3
+    no_kp = (None, lambda j, f: np.zeros(j.size, dtype=bool), lambda j, f: f <= 0)
+    # a block whose only row has no level-1 edge
+    assert run_sd_pairs(net, net.indices_of([9]), no_kp) == empty
+    # no key players: that variant is empty while the others are not
+    got = run_sd_pairs(net, net.indices_of([1, 9]), no_kp)
+    assert got[1] == ([], [], [], [])
+    assert got[0] == got[2] == ([0], [2], [4], [int(NEVER)])
+
+
+def test_sd_key_budget_at_steam_scale():
+    # Checked on the rule alone: a 1.1e8-node network is never allocated.
+    n = 110_000_000
+
+    def widest_key(rows, max_week):
+        return (((rows * n - 1) << max_week.bit_length() | max_week) << 3) | 7
+
+    assert _sd_block_rows(4096, n, 2_900) == 4096
+    assert widest_key(4096, 2_900) < 2**63
+    rows = _sd_block_rows(4096, n, 2**31 - 2)
+    assert rows == 4
+    assert widest_key(rows, 2**31 - 2) < 2**63 <= widest_key(rows + 1, 2**31 - 2)
+    with pytest.raises(InvalidParameterError, match="63-bit"):
+        _sd_block_rows(4096, 2**30, 2**31 - 2)
 
 
 # ---------------------------------------------------------------------------
