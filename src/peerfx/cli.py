@@ -185,7 +185,7 @@ def _load_network(cfg: RunConfig):
     triple = fileio.read_edges_csv(cfg.edges, epoch_unix=cfg.epoch_unix)
     node_filter = None
     if _optional_path(cfg, "node_filter"):
-        node_filter = set(fileio.read_node_filter_csv(cfg.node_filter).tolist())
+        node_filter = fileio.read_node_filter_csv(cfg.node_filter)
     return build_network(triple, node_filter=node_filter)
 
 

@@ -284,15 +284,20 @@ def _solve_pivoted(A: np.ndarray, b: np.ndarray, names: Sequence[str]) -> np.nda
     return np.linalg.solve(A, b)
 
 
-def _cluster_scores(S: np.ndarray, u: np.ndarray, codes: np.ndarray, G: int) -> np.ndarray:
-    out = np.empty((G, S.shape[1]))
+def _cr1_sandwich(A: np.ndarray, S: np.ndarray, u: np.ndarray, codes: np.ndarray,
+                  G: int, threads: int) -> np.ndarray:
+    """CR1 cluster sandwich A^-1 (sum_g S_g'u_g u_g'S_g) A^-T, scaled by
+    G/(G-1) * (N-1)/(N-K) and symmetrized; ``codes`` are dense 0..G-1."""
+    if G < 2:
+        raise InsufficientClustersError(f"need at least 2 clusters, got {G}")
+    N, K = S.shape[0], A.shape[1]
+    bread = np.linalg.solve(A, np.eye(K))
+    scores = np.empty((G, S.shape[1]))
     for c in range(S.shape[1]):
-        out[:, c] = np.bincount(codes, weights=S[:, c] * u, minlength=G)
-    return out
-
-
-def _cr1_factor(G: int, N: int, K: int) -> float:
-    return (G / (G - 1.0)) * ((N - 1.0) / (N - K))
+        scores[:, c] = np.bincount(codes, weights=S[:, c] * u, minlength=G)
+    meat = _crossprod(scores, scores, threads=threads)
+    V = bread @ meat @ bread.T * ((G / (G - 1.0)) * ((N - 1.0) / (N - K)))
+    return (V + V.T) / 2.0
 
 
 def clustered_vcov(residuals: np.ndarray, X: np.ndarray, clusters,
@@ -302,17 +307,9 @@ def clustered_vcov(residuals: np.ndarray, X: np.ndarray, clusters,
     """
     u = np.asarray(residuals, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    codes, uniq = np.unique(np.asarray(clusters), return_inverse=True)
-    G = codes.size
-    if G < 2:
-        raise InsufficientClustersError(f"need at least 2 clusters, got {G}")
-    N, K = X.shape
-    XtX = _crossprod(X, X, threads=threads)
-    bread = np.linalg.solve(XtX, np.eye(K))
-    S = _cluster_scores(X, u, uniq.astype(np.int64), G)
-    meat = _crossprod(S, S, threads=threads)
-    V = bread @ meat @ bread.T * _cr1_factor(G, N, K)
-    return (V + V.T) / 2.0
+    uniq, codes = np.unique(np.asarray(clusters), return_inverse=True)
+    return _cr1_sandwich(_crossprod(X, X, threads=threads), X, u,
+                         codes.astype(np.int64), uniq.size, threads)
 
 
 def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads,
@@ -383,15 +380,8 @@ def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads,
     codes = (np.arange(n, dtype=np.int64) if spec.cluster is None
              else _get_codes(panel, spec.cluster))
     G = int(codes.max()) + 1
-    if G < 2:
-        raise InsufficientClustersError(f"need at least 2 clusters, got {G}")
     sizes = np.bincount(codes)
-    K = X.shape[1]
-    bread = np.linalg.solve(ZtX, np.eye(K))
-    S = _cluster_scores(Z, resid, codes, G)
-    meat = _crossprod(S, S, threads=threads)
-    V = bread @ meat @ bread.T * _cr1_factor(G, n, K)
-    V = (V + V.T) / 2.0
+    V = _cr1_sandwich(ZtX, Z, resid, codes, G, threads)
 
     n_singletons = int((sizes == 1).sum()) if spec.cluster is not None else 0
     return FitResult(

@@ -1,10 +1,11 @@
 """CSV / JSON ingestion and emission for every pipeline artifact.
 
-Every CSV table is read by ``_read_table`` and written by ``_write_table``;
-only the panel reader (a structured ``loadtxt``) and the estimates writer
-(report precision) differ.  All writers are atomic (temp file in the target directory + rename), so a
-killed run never leaves a partial file at the final path.  Paths ending in
-``.gz`` are transparently gzip-compressed where the format allows it.
+Every CSV table is read by ``_read_table`` (one structured ``loadtxt``)
+and written by ``_write_table``; only the estimates writer (report
+precision) differs.  All writers are atomic (temp file in the target
+directory + rename), so a killed run never leaves a partial file at the
+final path.  Paths ending in ``.gz`` are transparently gzip-compressed
+where the format allows it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import re
 import tempfile
 import warnings
 from contextlib import contextmanager
-from operator import itemgetter
 
 import numpy as np
 
@@ -60,15 +60,30 @@ def _check_header(got, want, path):
         raise ParseError(f"{path}: expected header {','.join(want)}, got {','.join(got)}", 1)
 
 
-# a column's field kind: (parser, lowest allowed value or None, what a
-# well-formed field is, array dtype)
-_ID = (int, 0, "a non-negative integer id", np.int64)
-_INT = (int, None, "an integer", np.int64)
-_FLOAT = (float, None, "a number", np.float64)
-_TEXT = (str, None, "text", object)  # verbatim: spaces belong to the field
+def _ascii(parse):
+    """``parse`` refusing the non-ASCII digits and ``_`` separators that
+    Python's number parsers accept and loadtxt does not."""
+    def strict(cell: str):
+        if not cell.isascii() or "_" in cell:
+            raise ValueError(cell)
+        return parse(cell)
+    return strict
 
-# rows buffered, then parsed column by column into arrays
-_READ_BLOCK = 2048
+
+@_ascii
+def _int64(cell: str) -> int:
+    value = int(cell)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(cell)
+    return value
+
+
+# a column's field kind: (cell parser for the error scan, lowest allowed
+# value or None, what a well-formed field is, array dtype)
+_ID = (_int64, 0, "a non-negative integer id", np.int64)
+_INT = (_int64, None, "an integer", np.int64)
+_FLOAT = (_ascii(float), None, "a number", np.float64)
+_TEXT = (str, None, "text", object)  # verbatim: spaces belong to the field
 
 
 def _bad_field(parse, lowest, cell) -> bool:
@@ -82,50 +97,48 @@ def _bad_field(parse, lowest, cell) -> bool:
 def _read_table(path, header, kinds):
     """Parse a CSV with exactly ``header`` into one array per column.
 
-    Blank rows are skipped; every other row must have one field per header
-    name, each parsed by its kind (``_ID``, ``_INT``, ``_FLOAT``, ``_TEXT``
-    or a kind of the same shape).  The first bad row raises
+    One loadtxt call parses the rows.  Blank rows are skipped and ``#`` is
+    an ordinary character; every other row must have one field per header
+    name, each of its kind (``_ID``, ``_INT``, ``_FLOAT``, ``_TEXT`` or a
+    kind of the same shape).  On a bad row, one ``csv`` scan raises
     :class:`ParseError` with its file line.
     """
-    width = len(header)
-    cols = [[np.zeros(0, dtype)] for *_, dtype in kinds]  # parsed blocks
-    lines, rows = [], []
-
-    def parse_rows():
-        try:
-            for j, (col, (parse, lowest, _, dtype)) in enumerate(zip(cols, kinds)):
-                values = np.asarray(list(map(parse, map(itemgetter(j), rows))), dtype=dtype)
-                if lowest is not None and values.size and values.min() < lowest:
-                    raise ValueError
-                col.append(values)
-        except ValueError:
-            for line, row in zip(lines, rows):
-                for name, (parse, lowest, want, _), cell in zip(header, kinds, row):
-                    if _bad_field(parse, lowest, cell):
-                        raise ParseError(f"{name}: expected {want}, got {cell!r}", line)
-        lines.clear()
-        rows.clear()
-
+    dtype = [(name, kind[3]) for name, kind in zip(header, kinds)]
     with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
+        got = next(csv.reader(fh), None)
         if got is None:
             raise ParseError(f"{path}: empty file, expected header {','.join(header)}", 1)
         _check_header(got, header, path)
-        end = 1
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on header-only files
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                  dtype=dtype, ndmin=1)
+            columns = [np.ascontiguousarray(data[name]) for name in header]
+            for name, col, (_, lowest, want, _) in zip(header, columns, kinds):
+                if lowest is not None and col.size and col.min() < lowest:
+                    raise ValueError(f"{name}: expected {want}")
+        except ValueError as err:
+            # loadtxt's row numbers are not file lines; the scan finds the line
+            _raise_first_bad_row(path, header, kinds)
+            raise ParseError(f"{path}: {err}") from None
+    return columns
+
+
+def _raise_first_bad_row(path, header, kinds):
+    with _open_read(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        end = reader.line_num
         for row in reader:  # a quoted line break makes a row span file lines
             line, end = end + 1, reader.line_num
             if not row:
                 continue
-            if len(row) != width:
-                parse_rows()  # a bad field on an earlier row is reported first
-                raise ParseError(f"expected {width} fields, got {len(row)}", line)
-            lines.append(line)
-            rows.append(row)
-            if len(rows) == _READ_BLOCK:
-                parse_rows()
-        parse_rows()
-    return [np.concatenate(col) for col in cols]
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+            for name, (parse, lowest, want, _), cell in zip(header, kinds, row):
+                if _bad_field(parse, lowest, cell):
+                    raise ParseError(f"{name}: expected {want}, got {cell!r}", line)
 
 
 _EDGE_HEADER = ("player_a", "player_b", "formed_unix")
@@ -177,8 +190,8 @@ def _write_table(path, header, columns):
 
 def read_edges_csv(path, epoch_unix: int = 0):
     """Read ``player_a,player_b,formed_unix`` into (a, b, formed_week) arrays."""
-    since_epoch = (int, epoch_unix, f"a Unix time at or after the epoch {epoch_unix}",
-                   np.int64)
+    since_epoch = (_int64, epoch_unix,
+                   f"a Unix time at or after the epoch {epoch_unix}", np.int64)
     a, b, unix = _read_table(path, _EDGE_HEADER, (_ID, _ID, since_epoch))
     return a, b, (unix - epoch_unix) // 604800
 
@@ -248,18 +261,7 @@ def write_panel_csv(path, panel, meta_path=None):
 
 def read_panel_csv(path, meta_path=None):
     """Load a panel written by :func:`write_panel_csv`; returns (columns, meta)."""
-    with _open_read(path) as fh:
-        _check_header(fh.readline().strip().split(","), _PANEL_HEADER, path)
-        dtype = [(name, kind[3]) for name, kind in zip(_PANEL_HEADER, _PANEL_KINDS)]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on header-only files
-                data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
-        except ValueError as err:
-            # loadtxt's row numbers are not file lines; the table reader finds the line
-            _read_table(path, _PANEL_HEADER, _PANEL_KINDS)
-            raise ParseError(f"{path}: {err}") from None
-    columns = {name: np.ascontiguousarray(data[name]) for name in _PANEL_HEADER}
+    columns = dict(zip(_PANEL_HEADER, _read_table(path, _PANEL_HEADER, _PANEL_KINDS)))
     if meta_path is None:
         candidate = os.fspath(path) + ".meta.json"
         meta = read_json(candidate) if os.path.exists(candidate) else {}

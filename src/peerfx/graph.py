@@ -139,23 +139,27 @@ class TemporalNetwork:
         return rows[upper], self.nbr[upper].astype(np.int64), self.formed[upper]
 
 
-def _as_edge_arrays(edges):
-    """Accept (a, b, formed) array triples or an iterable of edge tuples."""
-    if isinstance(edges, tuple) and len(edges) == 3 and not isinstance(edges[0], (int, np.integer)):
-        a, b, f = edges
-        return (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
-                np.asarray(f, dtype=np.int64))
-    rows = [(int(e[0]), int(e[1]), int(e[2])) for e in edges]
-    if not rows:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    arr = np.asarray(rows, dtype=np.int64)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
+def as_columns(records, dtypes) -> tuple[np.ndarray, ...]:
+    """One array per dtype from a record stream.
+
+    A tuple of ``np.ndarray`` columns is the column form; any other iterable
+    (a tuple of tuples included) holds one record per item.
+    """
+    k = len(dtypes)
+    if not (isinstance(records, tuple) and records
+            and all(isinstance(c, np.ndarray) for c in records)):
+        rows = [tuple(r) for r in records]
+        if any(len(r) != k for r in rows):
+            raise InvalidParameterError(f"every record needs {k} fields")
+        records = tuple(zip(*rows)) if rows else ((),) * k
+    elif len(records) != k:
+        raise InvalidParameterError(f"expected {k} columns, got {len(records)}")
+    return tuple(np.asarray(c, dtype=d) for c, d in zip(records, dtypes))
 
 
 def build_network(
     edges: Iterable[tuple[int, int, int]] | tuple,
-    node_filter: Callable[[np.ndarray], np.ndarray] | set | None = None,
+    node_filter: Callable[[np.ndarray], np.ndarray] | Iterable[int] | None = None,
     nodes: Sequence[int] | None = None,
     max_degree: int = DEFAULT_DEGREE_CAP,
 ) -> TemporalNetwork:
@@ -163,16 +167,17 @@ def build_network(
 
     Parameters
     ----------
-    edges : iterable of (a, b, formed_week) or a tuple of three arrays
+    edges : iterable of (a, b, formed_week) or a tuple of three ``np.ndarray`` columns
         May contain duplicates and both orientations; the EARLIEST formation
         week per unordered pair wins.  Self loops are dropped and counted in
         ``diagnostics`` (not fatal).  Weeks must lie in [0, NEVER), i.e.
         below 2**31 - 1, so a far-future or microsecond timestamp is an
         error rather than a wrapped int32.
-    node_filter : callable, set, or None
-        Either a vectorized predicate ``ids -> bool array`` or a set of ids to
-        keep.  Nodes failing the filter are removed with all incident edges.
-        Zero-edge nodes are NOT dropped (friendless players stay).
+    node_filter : callable, collection of ids, or None
+        Either a vectorized predicate ``ids -> bool array`` or the ids to
+        keep (an array, a set, ...).  Nodes failing the filter are removed
+        with all incident edges.  Zero-edge nodes are NOT dropped
+        (friendless players stay).
     nodes : sequence of int, optional
         Explicit node universe.  When given, edges touching ids outside it
         are dropped; otherwise the universe is the union of edge endpoints.
@@ -183,7 +188,7 @@ def build_network(
     int64 key over dense node indices (``lo * n + hi``, then
     ``row * n + col``), exact for n < 3.0e9 nodes.
     """
-    a, b, f = _as_edge_arrays(edges)
+    a, b, f = as_columns(edges, (np.int64,) * 3)
     if a.size and (a.min() < 0 or b.min() < 0):
         raise InvalidParameterError("player ids must be non-negative")
     if f.size and f.min() < 0:
@@ -210,8 +215,7 @@ def build_network(
         if callable(node_filter):
             keep_mask = np.asarray(node_filter(universe), dtype=bool)
         else:
-            keep = np.unique(np.asarray(list(node_filter), dtype=np.int64))
-            keep_mask = np.isin(universe, keep)
+            keep_mask = np.isin(universe, np.fromiter(node_filter, np.int64))
         diagnostics["filtered_nodes"] = int((~keep_mask).sum())
         universe = universe[keep_mask]
 

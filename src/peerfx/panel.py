@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from .errors import InsufficientPoolError, InvalidParameterError, ParseError
-from .graph import NEVER, PeerTags, TemporalNetwork, week_of_unix
+from .graph import NEVER, PeerTags, TemporalNetwork, as_columns, week_of_unix
 
 
 @dataclass
@@ -69,20 +68,12 @@ def derive_schedule(events, game: str, cutoff_week: int | None = None,
     """Group achievement events to per-player purchase weeks for one game.
 
     ``events`` is either an iterable of (player, game, unlocked_unix) tuples
-    or a (players, games, unix) array triple.  The purchase week is the week
-    of the EARLIEST event; players whose earliest event falls after
-    ``cutoff_week`` are excluded (the boundary week itself is included).
+    or a tuple of three ``np.ndarray`` columns (players, games, unix).  The
+    purchase week is the week of the EARLIEST event; players whose earliest
+    event falls after ``cutoff_week`` are excluded (the boundary week itself
+    is included).
     """
-    if isinstance(events, tuple) and len(events) == 3 and not isinstance(events[0], tuple):
-        players, games, unix = events
-        players = np.asarray(players, dtype=np.int64)
-        games = np.asarray(games, dtype=object)
-        unix = np.asarray(unix, dtype=np.int64)
-    else:
-        rows = [(int(p), str(g), int(u)) for p, g, u in events]
-        players = np.asarray([r[0] for r in rows], dtype=np.int64)
-        games = np.asarray([r[1] for r in rows], dtype=object)
-        unix = np.asarray([r[2] for r in rows], dtype=np.int64)
+    players, games, unix = as_columns(events, (np.int64, object, np.int64))
 
     pick = games == game
     players, unix = players[pick], unix[pick]

@@ -186,6 +186,24 @@ def test_build_panel_output_shape(panel_path):
     assert set(np.unique(cols["week"])) == set(range(11, 30))
 
 
+def test_build_panel_node_filter_drops_players(sim_dir, panel_path, tmp_path):
+    players = np.unique(fileio.read_panel_csv(panel_path)[0]["player"])
+    dropped = players[::6]
+    ids = np.unique(np.concatenate(fileio.read_edges_csv(sim_dir / "edges.csv")[:2]))
+    filt = tmp_path / "filter.csv"
+    fileio._write_table(filt, ("player_id", "total_playtime_minutes"),
+                        (ids, np.where(np.isin(ids, dropped), 0, 30)))
+    out = tmp_path / "panel.csv"
+    assert main(["build-panel", "--edges", str(sim_dir / "edges.csv"),
+                 "--achievements", str(sim_dir / "achievements.csv"),
+                 "--node-filter", str(filt), "--out", str(out), "--release-week", "10",
+                 "--window-start", "10", "--window-end", "29",
+                 "--n-per-group", "40", "--seed", "3"]) == 0
+    kept = np.unique(fileio.read_panel_csv(out)[0]["player"])
+    assert kept.size and not np.isin(kept, dropped).any()
+    assert np.isin(kept, ids).all()
+
+
 STEAM_BASE = 76561197960265728  # 64-bit Steam id of account 0
 
 

@@ -43,10 +43,22 @@ def test_malformed_negative_id_fatal():
 
 
 def test_node_filter_drops_incident_edges():
-    net = build_network([(1, 2, 0), (2, 3, 0)], node_filter={1, 2})
-    assert set(net.nodes.tolist()) == {1, 2}
-    assert net.n_edges == 1
-    assert net.diagnostics["filtered_edges"] == 1
+    for keep in ({1, 2}, np.array([2, 1]), [1, 2, 2]):
+        net = build_network([(1, 2, 0), (2, 3, 0)], node_filter=keep)
+        assert set(net.nodes.tolist()) == {1, 2}
+        assert net.n_edges == 1
+        assert net.diagnostics["filtered_edges"] == 1
+
+
+def test_tuple_of_three_edges_is_rows():
+    # a tuple of tuples is rows, also when it holds exactly three
+    rows = ((1, 2, 0), (2, 3, 0), (3, 4, 0))
+    for edges in (rows, tuple(map(list, rows)), tuple(map(np.array, zip(*rows)))):
+        net = build_network(edges)
+        assert net.n_edges == 3
+        assert net.neighbors_at(3, 0).tolist() == [2, 4]
+    with pytest.raises(InvalidParameterError):
+        build_network(((1, 2), (2, 3)))
 
 
 def test_adjacency_matches_hash_set_oracle():

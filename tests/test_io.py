@@ -83,7 +83,7 @@ def test_playtime_roundtrip(tmp_path):
 ], ids=["achievements", "playtime"])
 def test_text_cells_are_quoted_and_round_trip(tmp_path, write, read):
     games = ["Fallout, New Vegas", 'The "Witcher"', "Line\nbreak", "Carriage\rreturn", "SMB",
-             " SMB ", "SMB "]  # spaces are part of a field (RFC 4180)
+             " SMB ", "SMB ", "C#"]  # spaces are part of a field (RFC 4180)
     players = list(range(1, len(games) + 1))
     path = tmp_path / "t.csv"
     write(path, players, games, [7] * len(games))
@@ -96,6 +96,7 @@ def test_text_cells_are_quoted_and_round_trip(tmp_path, write, read):
     assert '\n3,"Line\nbreak",' in text and '\n4,"Carriage\rreturn",' in text
     assert "\n5,SMB," in text  # a cell without a special character stays bare
     assert "\n6, SMB ," in text and "\n7,SMB ," in text
+    assert "\n8,C#," in text  # '#' starts no comment
     # the row after a quoted line break is reported at its own file line
     write(path, players[:3], games[:3], [7] * 3)
     with open(path, "a") as fh:
@@ -129,12 +130,15 @@ def test_panel_roundtrip_with_meta(tmp_path):
         def column(self, name):
             return self.columns[name]
 
-    fileio.write_panel_csv(path, Stub())
-    cols, meta = fileio.read_panel_csv(path)
-    assert meta["window"] == [2, 9]
-    assert cols["player"].tolist() == list(range(n))
-    for name in fileio.PANEL_COLUMNS:
-        assert np.allclose(cols[name], panel_cols[name])
+    for path in (path, tmp_path / "panel.csv.gz"):
+        fileio.write_panel_csv(path, Stub())
+        cols, meta = fileio.read_panel_csv(path)
+        assert meta["window"] == [2, 9]
+        assert cols["player"].tolist() == list(range(n))
+        for name in fileio.PANEL_COLUMNS:
+            assert np.allclose(cols[name], panel_cols[name])
+    with gzip.open(path, "rt") as fh:
+        assert fh.readline().startswith("player,week,")
 
 
 def test_panel_header_mismatch(tmp_path):
@@ -178,6 +182,8 @@ READERS = {
                  "1,SMB,30"),
     "covariates": (fileio.read_covariates_csv,
                    "player_id,num_games,num_groups,start_week", "1,3,2,7"),
+    "panel": (fileio.read_panel_csv, ",".join(("player", "week", *fileio.PANEL_COLUMNS)),
+              "1,2," + ",".join(["0"] * len(fileio.PANEL_COLUMNS))),
 }
 
 
@@ -196,6 +202,30 @@ def test_wrong_field_count_is_parse_error_with_line(tmp_path, reader, cut):
     assert f"expected {width} fields, got {width + cut}" in str(err.value)
     path.write_text(f"{header}\n{row}\n\n{row}\n")
     read(path)  # the blank row alone is fine
+
+
+# Python's int() reads these; int64 and the table reader do not
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("cell", ["1_000", "99999999999999999999", "\u0663"],
+                         ids=["underscore", "past_int64", "arabic_digit"])
+def test_id_python_reads_but_int64_does_not_is_parse_error(tmp_path, reader, cell):
+    read, header, row = READERS[reader]
+    path = tmp_path / "t.csv"
+    path.write_text(f"{header}\n{row}\n{cell}{row[row.index(','):]}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert err.value.line == 3
+    assert f"{header.split(',')[0]}: expected" in str(err.value) and repr(cell) in str(err.value)
+
+
+def test_bad_cell_past_the_first_rows_names_its_line(tmp_path):
+    rows = [f"{i},{i + 1},0" for i in range(5000)]
+    rows[4999] = "4999,x,0"
+    path = tmp_path / "edges.csv"
+    path.write_text("player_a,player_b,formed_unix\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as err:
+        fileio.read_edges_csv(path)
+    assert err.value.line == 5001 and "player_b" in str(err.value)
 
 
 def test_bad_field_names_column_and_line(tmp_path):

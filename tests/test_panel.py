@@ -83,6 +83,16 @@ def test_schedule_epoch_offset():
     assert s.week_of(1) == 2
 
 
+def test_schedule_tuple_of_three_events_is_rows():
+    # a tuple of lists is rows, also when it holds exactly three
+    events = ([1, "SMB", 2 * WEEK], [2, "SMB", 5 * WEEK], [3, "NV", 0])
+    for form in (events, tuple(map(tuple, events))):
+        assert derive_schedule(form, "SMB").to_dict() == {1: 2, 2: 5}
+    columns = (np.array([1, 2, 3]), np.array(["SMB", "SMB", "NV"], dtype=object),
+               np.array([2 * WEEK, 5 * WEEK, 0]))
+    assert derive_schedule(columns, "SMB").to_dict() == {1: 2, 2: 5}
+
+
 def test_schedule_group_min_oracle():
     rng = np.random.default_rng(7)
     players = rng.integers(0, 200, 1000)
