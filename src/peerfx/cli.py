@@ -26,9 +26,6 @@ from .panel import (PanelConfig, PanelDataset, assign_groups,
                     build_panel, build_playtime_crosssection, derive_schedule)
 from .simulate import SimConfig, SimTruth, run_simulation
 
-_opt_int = "opt_int"
-_opt_float = "opt_float"
-
 
 @dataclass
 class RunConfig:
@@ -91,39 +88,16 @@ class RunConfig:
 _PATH_FIELDS = ("edges", "achievements", "playtime", "covariates",
                 "node_filter", "panel")
 
-_CONVERTERS = {
-    str: lambda s: s,
-    int: int,
-    float: float,
-    _opt_int: int,
-    _opt_float: float,
-    bool: lambda s: {"true": True, "1": True, "yes": True, "on": True,
-                     "false": False, "0": False, "no": False, "off": False}[s.lower()],
-}
+
+def _bool(text: str) -> bool:
+    return {"true": True, "1": True, "yes": True, "on": True,
+            "false": False, "0": False, "no": False, "off": False}[text.lower()]
 
 
-def _field_kinds() -> dict:
-    kinds = {}
-    for f in dataclasses.fields(RunConfig):
-        t = f.type
-        if t in ("str", "str | None"):
-            kinds[f.name] = str
-        elif t == "bool":
-            kinds[f.name] = bool
-        elif t == "int":
-            kinds[f.name] = int
-        elif t == "float":
-            kinds[f.name] = float
-        elif t == "int | None":
-            kinds[f.name] = _opt_int
-        elif t == "float | None":
-            kinds[f.name] = _opt_float
-        else:  # pragma: no cover - catches future field-type mistakes
-            raise AssertionError(f"unmapped config field type {t!r}")
-    return kinds
-
-
-_FIELD_KINDS = _field_kinds()
+# value parser per RunConfig annotation; a new annotation fails at import
+_PARSERS = {"str": str, "str | None": str, "int": int, "int | None": int,
+            "float": float, "float | None": float, "bool": _bool}
+_FIELD_KINDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -151,7 +125,7 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     if config_path:
         for key, (value, lineno, path) in parse_config_file(config_path).items():
             try:
-                setattr(cfg, key, _CONVERTERS[_FIELD_KINDS[key]](value))
+                setattr(cfg, key, _FIELD_KINDS[key](value))
             except (ValueError, KeyError):
                 raise ConfigError(
                     f"{path}:{lineno}: bad value {value!r} for {key}") from None
@@ -196,10 +170,7 @@ def _load_panel(cfg: RunConfig) -> PanelDataset:
     week = columns.pop("week")
     if player.size == 0:
         raise ConfigError("empty panel")
-    window = tuple(meta["window"]) if meta and "window" in meta else \
-        (int(week.min()) - 1, int(week.max()))
-    return PanelDataset(player=player, week=week, columns=columns,
-                        window=window, config=PanelConfig(), meta=meta or {})
+    return PanelDataset(player=player, week=week, columns=columns, meta=meta or {})
 
 
 def _resolve_release(cfg: RunConfig) -> int:
@@ -219,23 +190,18 @@ def _tag_network(cfg: RunConfig, net):
     return tags, scores
 
 
+def _from_run_config(cls, cfg: RunConfig, **explicit):
+    """``cls(...)`` from the RunConfig fields it shares by name, then ``explicit``."""
+    shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)
+              if f.name in _FIELD_KINDS}
+    return cls(**{**shared, **explicit})
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     games = tuple(g.strip() for g in cfg.sim_games.split(",") if g.strip())
-    sim_cfg = SimConfig(
-        n_players=cfg.n_players, mean_degree=cfg.mean_degree,
-        degree_dist=cfg.degree_dist, powerlaw_exponent=cfg.powerlaw_exponent,
-        n_weeks=cfg.n_weeks,
-        release_week=cfg.release_week if cfg.release_week is not None else 60,
-        old_edge_fraction=cfg.old_edge_fraction, formation_end=cfg.formation_end,
-        key_player_share=cfg.key_player_share, seed=cfg.seed, game=cfg.game,
-        epoch_unix=cfg.epoch_unix)
-    truth = SimTruth(
-        beta=cfg.beta, beta_kp=cfg.beta_kp, beta_of=cfg.beta_of,
-        baseline_hazard=cfg.baseline_hazard, sigma_alpha=cfg.sigma_alpha,
-        prob_noise_sd=cfg.prob_noise_sd, homophily=cfg.homophily,
-        gamma_kp=cfg.gamma_kp, gamma_of=cfg.gamma_of,
-        gamma_nofriend=cfg.gamma_nofriend, playtime_mu=cfg.playtime_mu,
-        noise_sd=cfg.noise_sd)
+    sim_cfg = _from_run_config(
+        SimConfig, cfg, release_week=60 if cfg.release_week is None else cfg.release_week)
+    truth = _from_run_config(SimTruth, cfg)
     result = run_simulation(sim_cfg, truth, games=games)
     out = cfg.out or "."
     net = result.network
@@ -279,10 +245,9 @@ def cmd_build_panel(cfg: RunConfig) -> int:
     tags, _ = _tag_network(cfg, net)
     groups = assign_groups(net, schedule, cfg.n_per_group, cfg.seed,
                            horizon_week=cfg.window_end)
-    pcfg = PanelConfig(outcome_mode=cfg.outcome_mode, aggregation=cfg.aggregation,
-                       censor_after_purchase=cfg.censor_after_purchase)
     panel = build_panel(net, schedule, tags, groups,
-                        (cfg.window_start, cfg.window_end), pcfg)
+                        (cfg.window_start, cfg.window_end),
+                        _from_run_config(PanelConfig, cfg))
     out = cfg.out or "panel.csv"
     fileio.write_panel_csv(out, panel)
     print(f"wrote {out} ({panel.n_rows} rows) and {out}.meta.json")
@@ -421,12 +386,11 @@ def _add_flag(parser, name, kind, help_text=""):
     flag = "--" + name.replace("_", "-")
     default = getattr(RunConfig(), name)
     note = f"{help_text} (default: {default})" if help_text else f"default: {default}"
-    if kind is bool:
+    if kind is _bool:
         parser.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction,
                             default=None, help=note)
     else:
-        typ = {_opt_int: int, _opt_float: float}.get(kind, kind)
-        parser.add_argument(flag, dest=name, type=typ, default=None, help=note)
+        parser.add_argument(flag, dest=name, type=kind, default=None, help=note)
 
 
 def build_parser() -> argparse.ArgumentParser:

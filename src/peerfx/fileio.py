@@ -26,7 +26,8 @@ from .errors import ParseError
 
 @contextmanager
 def atomic_write(path, mode: str = "w"):
-    """Write to a temp file next to ``path`` and rename into place on success."""
+    """Write UTF-8 text to a temp file next to ``path`` and rename into place
+    on success."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -34,9 +35,9 @@ def atomic_write(path, mode: str = "w"):
     try:
         if path.endswith(".gz"):
             os.close(fd)
-            handle = gzip.open(tmp, mode + "t" if "b" not in mode else mode, newline="")
+            handle = gzip.open(tmp, mode + "t", encoding="utf-8", newline="")
         else:
-            handle = os.fdopen(fd, mode, newline="")
+            handle = os.fdopen(fd, mode, encoding="utf-8", newline="")
         with handle:
             yield handle
         os.replace(tmp, path)
@@ -51,8 +52,20 @@ def atomic_write(path, mode: str = "w"):
 def _open_read(path):
     path = os.fspath(path)
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", newline="")
-    return open(path, "r", newline="")
+        return gzip.open(path, "rt", encoding="utf-8", newline="")
+    return open(path, "r", encoding="utf-8", newline="")
+
+
+def _first_undecodable_line(path) -> int | None:
+    """File line of the first bytes that are not UTF-8 (a multi-byte UTF-8
+    sequence never holds a newline byte, so lines decode on their own)."""
+    with (gzip.open if os.fspath(path).endswith(".gz") else open)(path, "rb") as fh:
+        for line, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line
+    return None
 
 
 def _check_header(got, want, path):
@@ -101,8 +114,16 @@ def _read_table(path, header, kinds):
     an ordinary character; every other row must have one field per header
     name, each of its kind (``_ID``, ``_INT``, ``_FLOAT``, ``_TEXT`` or a
     kind of the same shape).  On a bad row, one ``csv`` scan raises
-    :class:`ParseError` with its file line.
+    :class:`ParseError` with its file line; so does text that is not UTF-8.
     """
+    try:
+        return _parse_table(path, header, kinds)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})",
+                         _first_undecodable_line(path)) from None
+
+
+def _parse_table(path, header, kinds):
     dtype = [(name, kind[3]) for name, kind in zip(header, kinds)]
     with _open_read(path) as fh:
         got = next(csv.reader(fh), None)

@@ -31,6 +31,17 @@ DEFAULT_DEGREE_CAP = 2000
 NEVER = np.int64(2**31 - 1)
 
 
+def _lookup(sorted_ids: np.ndarray, ids):
+    """Positions of ``ids`` in the sorted ``sorted_ids`` and whether each is
+    present.  Ids are compared as int64; an absent id's position is in range
+    (0 when ``sorted_ids`` is empty) but meaningless."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if sorted_ids.size == 0:
+        return np.zeros(ids.shape, dtype=np.int64), np.zeros(ids.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
+    return pos, sorted_ids[pos] == ids
+
+
 def week_of_unix(unix, epoch_unix: int = 0):
     """Bucket Unix seconds into week indices: floor((unix - epoch) / 604800)."""
     return (np.asarray(unix, dtype=np.int64) - np.int64(epoch_unix)) // WEEK_SECONDS
@@ -77,21 +88,13 @@ class TemporalNetwork:
 
     def index_of(self, player: int) -> int:
         """Dense index of a player id; NotFoundError for unknown ids."""
-        pos = int(np.searchsorted(self.nodes, player))
-        if pos >= self.nodes.size or self.nodes[pos] != player:
-            raise NotFoundError(f"player {player} not in network")
-        return pos
+        return int(self.indices_of(player))
 
     def indices_of(self, players) -> np.ndarray:
         players = np.asarray(players, dtype=np.int64)
-        if self.nodes.size == 0:
-            if players.size:
-                raise NotFoundError(f"player {players[0]} not in network")
-            return np.zeros(0, dtype=np.int64)
-        pos = np.searchsorted(self.nodes, players)
-        bad = (pos >= self.nodes.size) | (self.nodes[np.minimum(pos, self.nodes.size - 1)] != players)
-        if bad.any():
-            raise NotFoundError(f"player {players[bad][0]} not in network")
+        pos, hit = _lookup(self.nodes, players)
+        if not hit.all():
+            raise NotFoundError(f"player {players[~hit][0]} not in network")
         return pos
 
     # -- time-sliced queries -------------------------------------------------
@@ -117,7 +120,7 @@ class TemporalNetwork:
             jkeep = self.formed[jlo:jhi] <= t
             parts.append(self.nbr[jlo:jhi][jkeep])
         second = np.unique(np.concatenate(parts))
-        second = second[~np.isin(second, js)]
+        second = second[~_lookup(js, second)[1]]  # js ascends with the CSR row
         second = second[second != ix]
         return self.nodes[second]
 
@@ -215,21 +218,15 @@ def build_network(
         if callable(node_filter):
             keep_mask = np.asarray(node_filter(universe), dtype=bool)
         else:
-            keep_mask = np.isin(universe, np.fromiter(node_filter, np.int64))
+            keep_mask = _lookup(np.unique(np.fromiter(node_filter, np.int64)), universe)[1]
         diagnostics["filtered_nodes"] = int((~keep_mask).sum())
         universe = universe[keep_mask]
 
-    if a.size:
-        pos_a = np.searchsorted(universe, a)
-        pos_b = np.searchsorted(universe, b)
-        n_u = universe.size
-        ok_a = (pos_a < n_u) & (universe[np.minimum(pos_a, max(n_u - 1, 0))] == a) if n_u else np.zeros(a.size, bool)
-        ok_b = (pos_b < n_u) & (universe[np.minimum(pos_b, max(n_u - 1, 0))] == b) if n_u else np.zeros(a.size, bool)
-        ok = ok_a & ok_b
-        diagnostics["filtered_edges"] = int((~ok).sum())
-        ia, ib, f = pos_a[ok], pos_b[ok], f[ok]
-    else:
-        ia = ib = np.zeros(0, dtype=np.int64)
+    ia, ok_a = _lookup(universe, a)
+    ib, ok_b = _lookup(universe, b)
+    ok = ok_a & ok_b
+    diagnostics["filtered_edges"] = int((~ok).sum())
+    ia, ib, f = ia[ok], ib[ok], f[ok]
 
     # Deduplicate unordered pairs keeping the earliest formation week; the
     # order among a pair's duplicates is irrelevant to their minimum.
@@ -315,8 +312,8 @@ class CentralityScores:
         return {int(p): float(v) for p, v in zip(self.players, self.values)}
 
     def __getitem__(self, player: int) -> float:
-        pos = int(np.searchsorted(self.players, player))
-        if pos >= self.players.size or self.players[pos] != player:
+        pos, hit = _lookup(self.players, player)
+        if not hit:
             raise NotFoundError(f"player {player} not in scores")
         return float(self.values[pos])
 
@@ -389,12 +386,7 @@ class PeerTags:
     threshold: float
 
     def is_key_player(self, player) -> np.ndarray | bool:
-        player = np.asarray(player, dtype=np.int64)
-        pos = np.searchsorted(self.key_players, player)
-        pos = np.minimum(pos, max(self.key_players.size - 1, 0))
-        if self.key_players.size == 0:
-            return np.zeros(player.shape, dtype=bool)
-        return self.key_players[pos] == player
+        return _lookup(self.key_players, player)[1]
 
 
 def tag_peers(net: TemporalNetwork, scores: CentralityScores, release_week: int,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientPoolError, InvalidParameterError, ParseError
-from .graph import NEVER, PeerTags, TemporalNetwork, as_columns, week_of_unix
+from .graph import NEVER, PeerTags, TemporalNetwork, _lookup, as_columns, week_of_unix
 
 
 @dataclass
@@ -43,19 +43,13 @@ class AdoptionSchedule:
         return int(self.players.size)
 
     def week_of(self, player: int):
-        pos = int(np.searchsorted(self.players, player))
-        if pos < self.players.size and self.players[pos] == player:
-            return int(self.weeks[pos])
-        return None
+        pos, hit = _lookup(self.players, player)
+        return int(self.weeks[pos]) if hit else None
 
     def weeks_for(self, players) -> np.ndarray:
         """Purchase weeks for an id array; NEVER where there is no purchase."""
-        players = np.asarray(players, dtype=np.int64)
-        out = np.full(players.shape, NEVER, dtype=np.int64)
-        if self.players.size == 0 or players.size == 0:
-            return out
-        pos = np.minimum(np.searchsorted(self.players, players), self.players.size - 1)
-        hit = self.players[pos] == players
+        pos, hit = _lookup(self.players, players)
+        out = np.full(hit.shape, NEVER, dtype=np.int64)
         out[hit] = self.weeks[pos[hit]]
         return out
 
@@ -139,9 +133,8 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
         raise InvalidParameterError("n_per_group must be non-negative")
     deg = net.degrees()
     adopter = np.zeros(net.n_nodes, dtype=np.int32)
-    if schedule.players.size:
-        inside = np.isin(schedule.players, net.nodes)
-        adopter[net.indices_of(schedule.players[inside])] = 1
+    pos, inside = _lookup(net.nodes, schedule.players)
+    adopter[pos[inside]] = 1
     A = net.csr_at(int(NEVER) - 1)
     has_adopting_friend = (A @ adopter) > 0
     treat_pool = net.nodes[(deg > 0) & has_adopting_friend]
@@ -159,11 +152,7 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
     n_dropped = 0
     if horizon_week is not None and treatment.size:
         in_horizon = np.zeros(net.n_nodes, dtype=np.int32)
-        if schedule.players.size:
-            early = schedule.weeks <= horizon_week
-            ids = schedule.players[early]
-            ids = ids[np.isin(ids, net.nodes)]
-            in_horizon[net.indices_of(ids)] = 1
+        in_horizon[pos[inside & (schedule.weeks <= horizon_week)]] = 1
         usable = (A @ in_horizon) > 0
         keep = usable[net.indices_of(treatment)]
         n_dropped = int((~keep).sum())
@@ -208,8 +197,6 @@ class PanelDataset:
     player: np.ndarray
     week: np.ndarray
     columns: dict
-    window: tuple
-    config: PanelConfig
     meta: dict = field(default_factory=dict)
     _codes: dict = field(default_factory=dict, repr=False, compare=False)
     # estimator.within_transform's per-panel memo: FE systems and demeaned columns
@@ -360,13 +347,12 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks, chunk_paths=8_000_000):
     np.not_equal(pair[1:], pair[:-1], out=head[1:])
     upair = pair[head]
     del pair
-    f_direct = np.full(upair.size, NEVER, dtype=np.int64)
-    if upair.size:
-        dkeys = rows * n + j_idx  # sorted: rows ascend, neighbors ascend per row
-        at = np.minimum(np.searchsorted(dkeys, upair), dkeys.size - 1)
-        hit = dkeys[at] == upair
-        f_direct[hit] = f_ij[at[hit]]
+    # direct-edge keys are sorted: rows ascend, neighbors ascend per row
+    at, hit = _lookup(rows * n + j_idx, upair)
     del upair
+    f_direct = np.full(hit.size, NEVER, dtype=np.int64)
+    f_direct[hit] = f_ij[at[hit]]
+    del at, hit
     group = np.cumsum(head) - 1  # unique-pair index of each path
     del head
     for v in range(len(masks)):
@@ -558,7 +544,7 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
         "first_week_dropped": w0,
         "reference_week": int(tags.reference_week),
     }
-    return PanelDataset(player_col, week_col, columns, (w0, w1), cfg, meta)
+    return PanelDataset(player_col, week_col, columns, meta)
 
 
 PLAYTIME_DTYPE = np.dtype([
@@ -567,14 +553,6 @@ PLAYTIME_DTYPE = np.dtype([
     ("no_friend_purchase", np.int64), ("num_games", np.float64),
     ("num_groups", np.float64), ("start_week", np.float64),
     ("num_friends", np.int64), ("owns_smb", np.int64), ("owns_nv", np.int64)])
-
-
-def _lookup(sorted_ids: np.ndarray, ids: np.ndarray):
-    """Positions of ``ids`` in ``sorted_ids`` and whether each is present."""
-    if sorted_ids.size == 0:
-        return np.zeros(ids.shape, dtype=np.int64), np.zeros(ids.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
-    return pos, sorted_ids[pos] == ids
 
 
 def _first_friend(net: TemporalNetwork, p_all: np.ndarray, idx: np.ndarray):

@@ -138,9 +138,7 @@ def test_criterion_3_estimator_oracles():
             keep[:4] = True
             data = {k: v[keep] for k, v in data.items()}
         panel = PanelDataset(player=data["player"], week=data["week"],
-                             columns={k: data[k] for k in ("y", "x", "z")},
-                             window=(0, int(data["week"].max()) + 1),
-                             config=PanelConfig())
+                             columns={k: data[k] for k in ("y", "x", "z")})
         assert panel.n_rows <= 500
 
         spec = DesignSpec(outcome="y", endog=(), instruments=(), exog=("x",),
@@ -177,8 +175,7 @@ def test_criterion_3_estimator_oracles():
     # Same sandwich through the full fitting path, against a plain loop.
     data = toy_panel(rng, n_players=9, n_weeks=7)
     panel = PanelDataset(player=data["player"], week=data["week"],
-                         columns={k: data[k] for k in ("y", "x", "z")},
-                         window=(0, 7), config=PanelConfig())
+                         columns={k: data[k] for k in ("y", "x", "z")})
     spec = DesignSpec(outcome="y", endog=(), instruments=(), exog=("x",),
                       fixed_effects=("player",), cluster="player")
     fit = ols_fit(panel, spec)
@@ -355,8 +352,7 @@ def test_criterion_6_anderson_rubin_calibration():
         y = alpha + wfx + rng.normal(0, 1, player.size)
         z = rng.normal(0, 1, player.size)
         panel = PanelDataset(player=player, week=week,
-                             columns={"y": y, "x": x, "z": z},
-                             window=(0, n_weeks), config=PanelConfig())
+                             columns={"y": y, "x": x, "z": z})
         spec = DesignSpec(outcome="y", endog=("x",), instruments=("z",))
         if anderson_rubin(panel, spec) > 3.84:
             rejections += 1
@@ -427,8 +423,7 @@ def test_criterion_8_performance_envelope():
     x = 0.8 * z + 0.3 * alpha + prng.normal(0, 1, player.size)
     y = 0.05 * x + alpha + wfx + prng.normal(0, 1, player.size)
     panel = PanelDataset(player=player, week=week,
-                         columns={"y": y, "x": x, "z": z},
-                         window=(0, n_weeks), config=PanelConfig())
+                         columns={"y": y, "x": x, "z": z})
     assert panel.n_rows == 10_000_000
     spec = DesignSpec(outcome="y", endog=("x",), instruments=("z",))
     t0 = time.perf_counter()

@@ -3,6 +3,7 @@ and byte-level determinism.  One report is frozen as a golden file."""
 
 import dataclasses
 import filecmp
+import gzip
 import os
 import shutil
 import subprocess
@@ -159,6 +160,50 @@ def test_simulate_playtime_minutes_survive_the_round_trip(tmp_path):
     assert all(np.array_equal(cov[k], v) for k, v in sim.covariates.items())
 
 
+# one non-default value per SimConfig / SimTruth field that RunConfig shares
+SHARED_KNOBS = {
+    "n_players": 300, "mean_degree": 3.0, "degree_dist": "powerlaw",
+    "powerlaw_exponent": 2.7, "n_weeks": 40, "release_week": 20,
+    "old_edge_fraction": 0.3, "formation_end": 25, "key_player_share": 0.05,
+    "seed": 7, "game": "NV", "epoch_unix": 3 * WEEK,
+    "beta": 0.07, "beta_kp": 0.01, "beta_of": 0.02, "baseline_hazard": 0.002,
+    "sigma_alpha": 0.0002, "prob_noise_sd": 0.01, "homophily": 0.3,
+    "gamma_kp": 0.1, "gamma_of": 0.2, "gamma_nofriend": 0.3,
+    "playtime_mu": 3.1, "noise_sd": 0.8,
+}
+
+
+def test_simulate_echoes_every_shared_knob(tmp_path):
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    sections = {"config": SimConfig, "truth": SimTruth}
+    shared = {section: {f.name for f in dataclasses.fields(cls)} & run_fields
+              for section, cls in sections.items()}
+    assert set(SHARED_KNOBS) == shared["config"] | shared["truth"]
+    for name, value in SHARED_KNOBS.items():
+        assert value != getattr(RunConfig(), name), name
+    cfg_file = tmp_path / "sim.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in SHARED_KNOBS.items()))
+    assert main(["simulate", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "sim")]) == 0
+    echoed = fileio.read_json(tmp_path / "sim" / "truth.json")
+    for section, names in shared.items():
+        for name in names:
+            assert echoed[section][name] == SHARED_KNOBS[name], name
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"], ids=["plain", "gzip"])
+def test_non_utf8_input_is_exit_1_with_line(tmp_path, capsys, suffix):
+    raw = b"player_id,game,unlocked_unix\n1,SMB,0\n2,Pok\xe9mon,0\n3,SMB,0\n"
+    path = tmp_path / f"achievements.csv{suffix}"
+    path.write_bytes(gzip.compress(raw) if suffix else raw)
+    assert main(["series", "--achievements", str(path), "--out",
+                 str(tmp_path / "series.csv"), "--window-start", "0",
+                 "--window-end", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error (ParseError): line 3:" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_byte_identical_for_same_seed(tmp_path):
     args = ["--n-players", "300", "--n-weeks", "20", "--release-week", "8",
             "--baseline-hazard", "0.03"]
@@ -242,11 +287,10 @@ def test_estimate_outputs_match_api(panel_path, tmp_path, capsys):
         term, est, se, stat = line.split(",")
         rows[term] = (est, se, stat)
     cols, meta = fileio.read_panel_csv(panel_path)
-    from peerfx import PanelConfig, PanelDataset
+    from peerfx import PanelDataset
     player = cols.pop("player")
     week = cols.pop("week")
-    panel = PanelDataset(player, week, cols, tuple(meta["window"]),
-                         PanelConfig(), meta)
+    panel = PanelDataset(player, week, cols, meta)
     iv = tsls_fit(panel, DesignSpec(outcome="y", endog=("x_friend",),
                                     instruments=("z_sd_lag",)))
     assert float(rows["2sls.x_friend"][0]) == pytest.approx(

@@ -13,7 +13,6 @@ from peerfx import (
     FitResult,
     InsufficientClustersError,
     InvalidParameterError,
-    PanelConfig,
     PanelDataset,
     RankDeficientError,
     WeakIdentificationError,
@@ -115,8 +114,7 @@ def test_within_memo_follows_replaced_columns_and_ignores_writes():
 
     def make(columns):
         return PanelDataset(player=d["player"], week=d["week"],
-                            columns=dict(columns), window=(0, 5),
-                            config=PanelConfig())
+                            columns=dict(columns))
 
     spec = DesignSpec(outcome="y", endog=("x",), instruments=("z",))
     panel = make({k: d[k] for k in ("y", "x", "z")})

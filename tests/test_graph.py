@@ -5,7 +5,7 @@ import pytest
 
 from peerfx import (NEVER, DivergedError, InvalidParameterError, NotFoundError,
                     build_network, katz_centrality, tag_peers, week_of_unix)
-from peerfx.graph import second_degree_counts
+from peerfx.graph import _lookup, second_degree_counts
 
 from conftest import (adjacency_oracle, katz_dense_oracle, neighbors_oracle,
                       random_edges, second_degree_oracle)
@@ -306,3 +306,27 @@ def test_formation_week_at_never_is_fatal():
     net = build_network([(1, 2, 0), (2, 3, int(NEVER) - 1)])
     assert net.formed.max() == NEVER - 1
     assert net.neighbors_at(3, 10).tolist() == []
+
+
+STEAM_BASE = 76561197960265728  # 64-bit Steam id of account 0
+
+
+def test_lookup_matches_dict_oracle():
+    # small ids, odd Steam ids above 2**53 (a float64 round-trip would merge
+    # neighbours) and the int64 maximum
+    known = np.array([0, 3, 7, STEAM_BASE + 1, STEAM_BASE + 3, STEAM_BASE + 5,
+                      2**63 - 1], dtype=np.int64)
+    queries = np.array([-2**63, -1, 0, 1, 3, 7, 8, STEAM_BASE, STEAM_BASE + 1,
+                        STEAM_BASE + 2, STEAM_BASE + 3, STEAM_BASE + 5,
+                        STEAM_BASE + 6, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+    # full, without the minimum (0 falls below), without the maximum
+    # (2**63 - 1 falls above) and empty
+    for ids in (known, known[1:], known[:-1], known[:0]):
+        oracle = {int(v): i for i, v in enumerate(ids)}
+        for q in (queries, queries[::-1], queries[:0]):
+            pos, hit = _lookup(ids, q)
+            assert pos.shape == hit.shape == q.shape
+            assert hit.tolist() == [int(v) in oracle for v in q]
+            assert pos[hit].tolist() == [oracle[int(v)] for v in q[hit]]
+            assert ((pos >= 0) & (pos < max(ids.size, 1))).all()
+            assert _lookup(ids, q.tolist())[1].tolist() == hit.tolist()

@@ -717,3 +717,43 @@ def test_playtime_rows_match_scan_oracle(seed, ids):
         assert r.num_friends == len(adj[p])
         assert r.log_playtime == pytest.approx(np.log(max(minutes / 60, 1.0)))
     assert len(rows) == n_expected
+
+
+STEAM_BASE = 76561197960265728  # 64-bit Steam id of account 0
+
+
+def test_steam_scale_ids_give_the_same_groups_and_panel():
+    # ids above 2**53 spaced 2**33 apart: a float round-trip or id packing
+    # in the node filter, the group pools or the panel lookups would merge,
+    # split or drop players
+    rng = np.random.default_rng(31)
+    n = 120
+    edges = random_edges(rng, n, 300, max_week=20)
+    buyers = np.unique(rng.integers(0, n, 15))
+    weeks = rng.integers(0, 30, buyers.size).astype(np.int64)
+    kept = [k for k in range(n) if k % 7]
+    runs = []
+    for ids in (lambda k: np.asarray(k, dtype=np.int64),
+                lambda k: STEAM_BASE + 2**33 * np.asarray(k, dtype=np.int64)):
+        net = build_network([(ids(a), ids(b), w) for a, b, w in edges],
+                            node_filter=ids(kept))
+        sched = AdoptionSchedule("SMB", ids(buyers), weeks)
+        tags = tag_peers(net, katz_centrality(net, 16), 20, percentile=0.8,
+                         min_age_weeks=8)
+        groups = assign_groups(net, sched, 20, seed=4, horizon_week=24)
+        runs.append((ids, net, groups, build_panel(net, sched, tags, groups, (20, 30))))
+    (_, net_s, g_s, p_s), (big, net_b, g_b, p_b) = runs
+    assert net_b.nodes.tolist() == big(net_s.nodes).tolist()
+    assert net_b.diagnostics == net_s.diagnostics
+    assert net_s.diagnostics["filtered_nodes"] > 0
+    assert g_s.n_dropped_treatment == g_b.n_dropped_treatment > 0
+    for part in ("treatment", "control"):
+        small_pos = net_s.indices_of(getattr(g_s, part))
+        assert small_pos.size and \
+            net_b.indices_of(getattr(g_b, part)).tolist() == small_pos.tolist()
+    assert p_b.player.tolist() == big(p_s.player).tolist()
+    assert p_b.week.tolist() == p_s.week.tolist()
+    assert p_s.columns.keys() == p_b.columns.keys()
+    for name, col in p_s.columns.items():
+        assert np.array_equal(p_b.columns[name], col), name
+    assert p_s.column("z_sd_lag").any() and p_s.column("x_friend").any()
