@@ -14,13 +14,12 @@ from .errors import (ConfigError, DivergedError, GenerationFailedError,
                      PeerEffectsError, RankDeficientError,
                      WeakIdentificationError)
 from .graph import (NEVER, CentralityScores, PeerTags, TemporalNetwork,
-                    build_network, katz_centrality, neighbors_at,
-                    second_degree_at, second_degree_counts, tag_peers,
-                    week_of_unix)
+                    build_network, katz_centrality, second_degree_counts,
+                    tag_peers, week_of_unix)
 from .panel import (AdoptionSchedule, GroupAssignment, PanelConfig,
                     PanelDataset, assign_groups, build_panel,
                     build_playtime_crosssection, derive_schedule,
-                    expected_row_count, first_purchasing_friend)
+                    expected_row_count)
 from .estimator import (DesignSpec, FitResult, WithinResult, anderson_rubin,
                         clustered_vcov, heterogeneity_fit, ols_fit,
                         playtime_fit, tsls_fit, within_transform)
@@ -42,11 +41,11 @@ __all__ = [
     "TemporalNetwork", "WeakIdentificationError", "WithinResult",
     "anderson_rubin", "assign_groups", "build_network", "build_panel",
     "build_playtime_crosssection", "clustered_vcov", "derive_schedule",
-    "estimates_csv_rows", "expected_row_count", "first_purchasing_friend",
+    "estimates_csv_rows", "expected_row_count",
     "format_cell", "gen_network", "heterogeneity_fit", "heterogeneity_report",
-    "katz_centrality", "main_report", "neighbors_at", "ols_fit",
+    "katz_centrality", "main_report", "ols_fit",
     "playtime_fit", "playtime_report", "render_estimate_table",
-    "run_simulation", "second_degree_at", "second_degree_counts",
+    "run_simulation", "second_degree_counts",
     "simulate_adoption", "simulate_playtime", "tag_peers", "tsls_fit",
     "week_of_unix", "within_transform",
 ]

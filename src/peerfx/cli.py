@@ -104,6 +104,9 @@ def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` pairs; blank lines and ``#`` comments ignored."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    bad_line = fileio._first_undecodable_line(path)
+    if bad_line is not None:
+        raise ConfigError(f"{path}:{bad_line}: not UTF-8 text")
     raw = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

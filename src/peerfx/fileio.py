@@ -21,16 +21,22 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 
 @contextmanager
 def atomic_write(path, mode: str = "w"):
     """Write UTF-8 text to a temp file next to ``path`` and rename into place
-    on success."""
+    on success.  A ``path`` that is a directory, or whose directory part is
+    a file, is a :class:`ConfigError` raised before any temp file exists."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    if os.path.isdir(path):
+        raise ConfigError(f"{path}: is a directory, not an output file")
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"{directory}: not a directory, cannot write {path}") from None
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         if path.endswith(".gz"):
@@ -308,8 +314,15 @@ def _json_default(obj):
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """Load a UTF-8 JSON file; malformed bytes or JSON are a :class:`ParseError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})",
+                         _first_undecodable_line(path)) from None
+    except json.JSONDecodeError as err:
+        raise ParseError(f"{path}: not valid JSON ({err.msg})", err.lineno) from None
 
 
 def write_series_csv(path, weeks, counts):

@@ -52,8 +52,9 @@ class TemporalNetwork:
 
     Adjacency is CSR-like over dense node indices: row i's neighbors live in
     ``nbr[indptr[i]:indptr[i+1]]`` sorted by neighbor id, with parallel
-    ``formed`` weeks.  All queries are read-only, so instances are safe to
-    share across threads.
+    ``formed`` weeks.  :meth:`entries` is the one expansion of those rows
+    that every friend walk goes through.  All queries are read-only, so
+    instances are safe to share across threads.
 
     Attributes
     ----------
@@ -97,32 +98,43 @@ class TemporalNetwork:
             raise NotFoundError(f"player {players[~hit][0]} not in network")
         return pos
 
-    # -- time-sliced queries -------------------------------------------------
+    # -- adjacency walks ----------------------------------------------------
+
+    def entries(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency entries of the rows ``idx`` (dense indices, any order,
+        repeats allowed) as ``(r, pos)``: ``pos`` indexes ``nbr``/``formed``
+        and ``r`` the position in ``idx`` it came from.  Entries are grouped
+        by ``r`` in ascending order and neighbor-ascending within a row."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lo = self.indptr[idx]
+        lens = self.indptr[idx + 1] - lo
+        r = np.repeat(np.arange(idx.size, dtype=np.int64), lens)
+        pos = np.arange(r.size, dtype=np.int64)
+        pos += np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        return r, pos
+
+    def _as_of(self, idx, t: int) -> np.ndarray:
+        """Neighbor indices of the rows ``idx`` over edges formed by week t."""
+        _, pos = self.entries(idx)
+        return self.nbr[pos[self.formed[pos] <= t]]
 
     def neighbors_at(self, i: int, t: int) -> np.ndarray:
         """Player ids adjacent to i through edges formed no later than t (sorted)."""
-        ix = self.index_of(i)
-        lo, hi = self.indptr[ix], self.indptr[ix + 1]
-        keep = self.formed[lo:hi] <= t
-        return self.nodes[self.nbr[lo:hi][keep]]
+        return self.nodes[self._as_of([self.index_of(i)], t)]
 
     def second_degree_at(self, i: int, t: int) -> np.ndarray:
         """Friends-of-friends at week t, excluding direct friends and i itself."""
         ix = self.index_of(i)
-        lo, hi = self.indptr[ix], self.indptr[ix + 1]
-        keep = self.formed[lo:hi] <= t
-        js = self.nbr[lo:hi][keep]
-        if js.size == 0:
-            return self.nodes[:0]
-        parts = []
-        for j in js:
-            jlo, jhi = self.indptr[j], self.indptr[j + 1]
-            jkeep = self.formed[jlo:jhi] <= t
-            parts.append(self.nbr[jlo:jhi][jkeep])
-        second = np.unique(np.concatenate(parts))
-        second = second[~_lookup(js, second)[1]]  # js ascends with the CSR row
-        second = second[second != ix]
+        js = self._as_of([ix], t)
+        second = np.unique(self._as_of(js, t))
+        second = second[~_lookup(js, second)[1] & (second != ix)]  # js ascends
         return self.nodes[second]
+
+    def friend_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per node, the float64 sum of ``values`` over all its friends, every
+        edge counted; each row adds up in CSR order, as a sparse matvec does."""
+        r, _ = self.entries(np.arange(self.n_nodes))
+        return np.bincount(r, weights=values[self.nbr], minlength=self.n_nodes)
 
     def csr_at(self, t: int) -> sp.csr_matrix:
         """0/1 adjacency of the week-t view as a scipy CSR matrix."""
@@ -137,7 +149,7 @@ class TemporalNetwork:
 
     def edge_array(self):
         """Unique undirected edges as (a_idx, b_idx, formed) with a_idx < b_idx."""
-        rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
+        rows, _ = self.entries(np.arange(self.n_nodes))  # pos is every slot in order
         upper = rows < self.nbr
         return rows[upper], self.nbr[upper].astype(np.int64), self.formed[upper]
 
@@ -260,18 +272,9 @@ def build_network(
                            diagnostics)
 
 
-# Module-level wrappers matching the operation names.
-def neighbors_at(net: TemporalNetwork, i: int, t: int) -> np.ndarray:
-    return net.neighbors_at(i, t)
-
-
-def second_degree_at(net: TemporalNetwork, i: int, t: int) -> np.ndarray:
-    return net.second_degree_at(i, t)
-
-
 def second_degree_counts(net: TemporalNetwork, players, t: int,
                          block: int = 2048) -> np.ndarray:
-    """|second_degree_at(i, t)| for many players, in fixed-size row blocks.
+    """|net.second_degree_at(i, t)| for many players, in fixed-size row blocks.
 
     Nodes within two hops of i are the nonzero columns of row i of
     (A+I) @ (A+I); dropping i and its deg_t(i) friends leaves the second
@@ -296,8 +299,7 @@ def second_degree_counts(net: TemporalNetwork, players, t: int,
 class CentralityScores:
     """Katz scores for every node of a week-t view.
 
-    ``values`` aligns with ``players`` (= network node order).  ``scores``
-    exposes the same data as a dict for small-graph ergonomics.
+    ``values`` aligns with ``players`` (= network node order).
     """
 
     players: np.ndarray
@@ -306,10 +308,6 @@ class CentralityScores:
     alpha: float
     iterations: int
     converged: bool
-
-    @property
-    def scores(self) -> dict:
-        return {int(p): float(v) for p, v in zip(self.players, self.values)}
 
     def __getitem__(self, player: int) -> float:
         pos, hit = _lookup(self.players, player)

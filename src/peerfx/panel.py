@@ -132,11 +132,8 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
     if n_per_group < 0:
         raise InvalidParameterError("n_per_group must be non-negative")
     deg = net.degrees()
-    adopter = np.zeros(net.n_nodes, dtype=np.int32)
-    pos, inside = _lookup(net.nodes, schedule.players)
-    adopter[pos[inside]] = 1
-    A = net.csr_at(int(NEVER) - 1)
-    has_adopting_friend = (A @ adopter) > 0
+    weeks = schedule.weeks_for(net.nodes)
+    has_adopting_friend = net.friend_sum(weeks != NEVER) > 0
     treat_pool = net.nodes[(deg > 0) & has_adopting_friend]
     control_pool = net.nodes[(deg > 0) & ~has_adopting_friend]
     if treat_pool.size < n_per_group or control_pool.size < n_per_group:
@@ -151,9 +148,7 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
 
     n_dropped = 0
     if horizon_week is not None and treatment.size:
-        in_horizon = np.zeros(net.n_nodes, dtype=np.int32)
-        in_horizon[pos[inside & (schedule.weeks <= horizon_week)]] = 1
-        usable = (A @ in_horizon) > 0
+        usable = net.friend_sum(weeks <= horizon_week) > 0
         keep = usable[net.indices_of(treatment)]
         n_dropped = int((~keep).sum())
         treatment = treatment[keep]
@@ -233,26 +228,6 @@ def expected_row_count(n_players: int, window) -> int:
     return int(n_players) * (w1 - w0)
 
 
-def _gather_edges(net: TemporalNetwork, sample_idx: np.ndarray):
-    """All adjacency entries of the sampled rows as flat arrays.
-
-    Returns (row, j_idx, f_ij) where ``row`` indexes into ``sample_idx``.
-    Entries are grouped by row in ascending order and sorted by neighbor id
-    within each row (inherited from the CSR layout).
-    """
-    deg = np.diff(net.indptr)
-    lens = deg[sample_idx]
-    total = int(lens.sum())
-    if total == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    rows = np.repeat(np.arange(sample_idx.size, dtype=np.int64), lens)
-    shift = np.cumsum(lens) - lens
-    offs = np.arange(total, dtype=np.int64) - np.repeat(shift, lens)
-    pos = np.repeat(net.indptr[sample_idx], lens) + offs
-    return rows, net.nbr[pos].astype(np.int64), net.formed[pos].astype(np.int64)
-
-
 # Flag bits of a packed second-degree path key: bit v marks a path whose
 # first hop passes the v-th level-1 mask (all / key-player middle / old friend).
 _SD_FLAG_BITS = 3
@@ -279,7 +254,8 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks, chunk_paths=8_000_000):
     """Unique second-degree pairs reachable through the given level-1 edges.
 
     ``rows, j_idx, f_ij`` are the level-1 edges of a block of sampled nodes
-    (``sample_idx``), as :func:`_gather_edges` returns them.  Yields one
+    (``sample_idx``) in :meth:`TemporalNetwork.entries` order: row (a
+    position in ``sample_idx``), neighbor index and formation week.  Yields one
     (row, k_idx, w2, f_direct) tuple per entry of ``masks``, in order: per
     unique (row, k) the earliest week the pair is path-connected (min over
     paths of max(f_ij, f_jk)) and the week a DIRECT i-k edge forms (NEVER
@@ -312,30 +288,28 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks, chunk_paths=8_000_000):
     for v, keep in enumerate(masks):
         flags[slice(None) if keep is None else keep] |= 1 << v
 
-    lens2 = np.diff(net.indptr)[j_idx]
     parts = []
     # chunk the level-1 edge list so each expansion stays within the path budget
-    csum = np.cumsum(lens2)
+    csum = np.cumsum(net.degrees()[j_idx])
     start = 0
     while start < rows.size:
         stop = int(np.searchsorted(csum, (csum[start - 1] if start else 0) + chunk_paths)) + 1
         stop = min(max(stop, start + 1), rows.size)
-        l2 = lens2[start:stop]
-        total = int(l2.sum())
-        if total:
-            prow = np.repeat(rows[start:stop], l2)
-            before = np.cumsum(l2) - l2
-            pos = np.repeat(net.indptr[j_idx[start:stop]] - before, l2)
-            pos += np.arange(total, dtype=np.int64)
-            k = net.nbr[pos].astype(np.int64)
-            notself = k != sample_idx[prow]
-            key = prow * n
-            key += k
-            key <<= wbits
-            key |= np.maximum(np.repeat(f_ij[start:stop], l2), net.formed[pos])
-            key <<= _SD_FLAG_BITS
-            key |= np.repeat(flags[start:stop], l2)
-            parts.append(key[notself])
+        e, pos = net.entries(j_idx[start:stop])
+        e += start  # the level-1 edge of each path
+        key = rows[e]
+        k = net.nbr[pos]
+        notself = k != sample_idx[key]
+        key *= n
+        key += k
+        del k
+        key <<= wbits
+        key |= np.maximum(f_ij[e], net.formed[pos])
+        del pos
+        key <<= _SD_FLAG_BITS
+        key |= flags[e]
+        del e
+        parts.append(key[notself])
         start = stop
     key = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     del parts
@@ -465,9 +439,8 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     for s in range(0, P, block):
         bidx = np.arange(s, min(s + block, P))
         sub_idx = sample_idx_all[bidx]
-        rows, j_idx, f_ij = _gather_edges(net, sub_idx)
-        if rows.size == 0:
-            continue
+        rows, pos = net.entries(sub_idx)
+        j_idx, f_ij = net.nbr[pos], net.formed[pos]
         rows_g = bidx[rows]  # global grid rows
         masks = (None, kp_flag[j_idx], f_ij <= tags.old_friend_cutoff)
 
@@ -565,7 +538,8 @@ def _first_friend(net: TemporalNetwork, p_all: np.ndarray, idx: np.ndarray):
     Returns (friend index, formed week of that edge), -1 / NEVER when no
     friend qualifies or the node has no purchase.
     """
-    rows, j, f = _gather_edges(net, idx)
+    rows, pos = net.entries(idx)
+    j, f = net.nbr[pos], net.formed[pos]
     own, p_j = p_all[idx][rows], p_all[j]
     keep = (own != NEVER) & (f <= own) & (p_j < own)
     rows, j, f, p_j = rows[keep], j[keep], f[keep], p_j[keep]
@@ -593,19 +567,6 @@ def _first_friend_dummies(net: TemporalNetwork, tags: PeerTags, kp_mask: np.ndar
     friend, formed = _first_friend(net, p_all, idx)
     none = friend < 0
     return kp_mask[friend] & ~none, formed <= tags.old_friend_cutoff, none
-
-
-def first_purchasing_friend(net: TemporalNetwork, schedule: AdoptionSchedule,
-                            players: np.ndarray) -> np.ndarray:
-    """Id of each player's earliest-purchasing friend, or -1 when none.
-
-    A friend j qualifies when the edge formed no later than the player's own
-    purchase week and j purchased STRICTLY earlier; ties on the purchase
-    week break to the smallest player id.  Players without an own purchase
-    week get -1.
-    """
-    friend, _ = _first_friend(net, schedule.weeks_for(net.nodes), net.indices_of(players))
-    return np.where(friend >= 0, net.nodes[friend], -1)
 
 
 def build_playtime_crosssection(net: TemporalNetwork, schedule_by_game: dict,

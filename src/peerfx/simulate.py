@@ -216,12 +216,8 @@ def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
 
 
 def _neighbor_mean(net: TemporalNetwork, values: np.ndarray) -> np.ndarray:
-    A = net.csr_at(int(NEVER) - 1)
-    deg = np.asarray(net.degrees(), dtype=np.float64)
-    total = A @ values
-    out = np.zeros_like(values)
-    np.divide(total, deg, out=out, where=deg > 0)
-    return out
+    deg = net.degrees()
+    return np.divide(net.friend_sum(values), deg, out=np.zeros_like(values), where=deg > 0)
 
 
 def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
@@ -257,67 +253,60 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
     if truth.homophily != 0.0:
         alpha = alpha + truth.homophily * _neighbor_mean(net, alpha)
 
-    indptr, nbr, formed_slot = net.indptr, net.nbr, net.formed
-    src = np.repeat(np.arange(P, dtype=np.int64), net.degrees())
-    old_slot = formed_slot <= cfg.old_edge_cutoff
-    # directed slots whose edge forms mid-horizon, bucketed by week
-    late = np.flatnonzero(formed_slot > cfg.release_week)
-    buckets = {}
-    for idx in late:
-        buckets.setdefault(int(formed_slot[idx]), []).append(int(idx))
+    indptr, nbr, formed = net.indptr, net.nbr, net.formed
+    src, _ = net.entries(np.arange(P))  # owner of each directed slot
+    old_slot = formed <= cfg.old_edge_cutoff
+    # directed slots whose edge forms mid-horizon, in week order
+    late = np.flatnonzero(formed > cfg.release_week)
+    late = late[np.argsort(formed[late], kind="stable")]
+    cuts = np.searchsorted(formed[late], np.arange(cfg.release_week, cfg.n_weeks + 1))
 
     p_week = np.full(P, NEVER, dtype=np.int64)
-    n_f = np.zeros(P, dtype=np.int32)
-    n_kp = np.zeros(P, dtype=np.int32)
-    n_of = np.zeros(P, dtype=np.int32)
+    n_f, n_kp, n_of = (np.zeros(P, dtype=np.int32) for _ in range(3))  # exposure counts
     at_risk = np.ones(P, dtype=bool)
     clip_low = clip_high = 0
-    beta, bkp, bof = truth.beta, truth.beta_kp, truth.beta_of
 
-    def hazard_of(f: int, base_f: float) -> float:
-        h = base_f + beta * (n_f[f] > 0) + bkp * (n_kp[f] > 0) + bof * (n_of[f] > 0)
-        return 0.0 if h < 0.0 else (1.0 if h > 1.0 else h)
+    def expose(i, idx):
+        """Owner ``i`` exposes the friend at directed slot ``idx``; returns it."""
+        f = int(nbr[idx])
+        n_f[f] += 1
+        if kp_mask[i]:
+            n_kp[f] += 1
+        if old_slot[idx]:
+            n_of[f] += 1
+        return f
+
+    def hazard(who):
+        """Unclipped adoption probability of ``who`` at this week's ``base``."""
+        return (base[who] + truth.beta * (n_f[who] > 0)
+                + truth.beta_kp * (n_kp[who] > 0) + truth.beta_of * (n_of[who] > 0))
 
     for t in range(cfg.release_week, cfg.n_weeks):
-        for idx in buckets.get(t, ()):
-            i = int(src[idx])
-            if p_week[i] < t:  # owner acquired before this week: expose friend
-                f = int(nbr[idx])
-                n_f[f] += 1
-                if kp_mask[i]:
-                    n_kp[f] += 1
-                if old_slot[idx]:
-                    n_of[f] += 1
-        base = truth.baseline_hazard + alpha + wfx[t - cfg.release_week]
+        w = t - cfg.release_week
+        new = late[cuts[w]:cuts[w + 1]]
+        for idx in new[p_week[src[new]] < t].tolist():  # owner bought before the edge formed
+            expose(src[idx], idx)
+        base = truth.baseline_hazard + alpha + wfx[w]
         if truth.prob_noise_sd > 0:
             base = base + rng.normal(0.0, truth.prob_noise_sd, P)
-        raw = base + beta * (n_f > 0) + bkp * (n_kp > 0) + bof * (n_of > 0)
-        clip_low += int((raw[at_risk] < 0.0).sum())
-        clip_high += int((raw[at_risk] > 1.0).sum())
-        prob = np.clip(raw, 0.0, 1.0)
+        h = hazard(slice(None))
+        clip_low += int((h[at_risk] < 0.0).sum())
+        clip_high += int((h[at_risk] > 1.0).sum())
         u = rng.random(P)
         slots = rng.permutation(P)
-        heap = [(int(slots[i]), int(i)) for i in np.flatnonzero(at_risk & (u < prob))]
+        # u < h iff u < clip(h, 0, 1), because u lies in [0, 1)
+        queued = at_risk & (u < h)
+        heap = list(zip(slots[queued].tolist(), np.flatnonzero(queued).tolist()))
         heapq.heapify(heap)
-        in_heap = np.zeros(P, dtype=bool)
-        for r, i in heap:
-            in_heap[i] = True
         while heap:
             r, i = heapq.heappop(heap)
             p_week[i] = t
             at_risk[i] = False
-            for idx in range(int(indptr[i]), int(indptr[i + 1])):
-                if formed_slot[idx] > t:
-                    continue
-                f = int(nbr[idx])
-                n_f[f] += 1
-                if kp_mask[i]:
-                    n_kp[f] += 1
-                if old_slot[idx]:
-                    n_of[f] += 1
-                if at_risk[f] and not in_heap[f] and slots[f] > r:
-                    if u[f] < hazard_of(f, float(base[f])):
-                        in_heap[f] = True
+            for idx in range(indptr[i], indptr[i + 1]):
+                if formed[idx] <= t:
+                    f = expose(i, idx)
+                    if at_risk[f] and not queued[f] and slots[f] > r and u[f] < hazard(f):
+                        queued[f] = True
                         heapq.heappush(heap, (int(slots[f]), f))
 
     bought = p_week < NEVER

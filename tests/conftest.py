@@ -63,6 +63,83 @@ def random_edges(rng, n_nodes, n_edges, max_week=30):
     return list(zip(a.tolist(), b.tolist(), w.tolist()))
 
 
+def adjacency_rows(net):
+    """[(neighbor index, formed week), ...] per dense row of ``net``, read by
+    slicing each CSR row on its own."""
+    bounds = zip(net.indptr[:-1].tolist(), net.indptr[1:].tolist())
+    return [list(zip(net.nbr[lo:hi].tolist(), net.formed[lo:hi].tolist()))
+            for lo, hi in bounds]
+
+
+def first_friend_oracle(adj, weeks, i):
+    """Id of the friend of i who bought first, or -1.
+
+    ``weeks`` maps player -> purchase week.  A friend counts when the edge
+    formed no later than i's purchase week and the friend bought strictly
+    earlier than i; ties on the week go to the smallest id.  -1 when i never
+    bought or no friend counts.
+    """
+    own = weeks.get(i)
+    if own is None:
+        return -1
+    best = None
+    for j, formed in adj.get(i, {}).items():
+        wj = weeks.get(j)
+        if formed <= own and wj is not None and wj < own:
+            if best is None or (wj, j) < best:
+                best = (wj, j)
+    return -1 if best is None else best[1]
+
+
+# ---------------------------------------------------------------------------
+# simulation oracle
+
+
+def adoption_sweep_oracle(net, cfg, truth, rng, kp_mask):
+    """Purchase week per dense index (None for none), clip_low, clip_high.
+
+    A player-by-player sweep of every horizon week, drawing from ``rng`` in
+    the simulator's order: player effects once, then per week the
+    probability noise, the uniforms and the evaluation slots.  In slot
+    order, a player who has not bought yet buys when their uniform is below
+    base + beta / beta_kp / beta_of for having any owning friend / key-player
+    friend / old friend, over edges formed by this week.  A friend owns once
+    they bought in an earlier week or at an earlier slot of this one.  The
+    clip counts read the week-start hazards of the players not yet owning.
+    Homophily is not modelled.
+    """
+    assert truth.homophily == 0.0
+    P = net.n_nodes
+    adj = adjacency_rows(net)
+    alpha = rng.normal(0.0, truth.sigma_alpha, P) if truth.sigma_alpha > 0 \
+        else np.zeros(P)
+    wfx = truth.week_effects or (0.0,) * (cfg.n_weeks - cfg.release_week)
+    bought = [None] * P
+    clip_low = clip_high = 0
+    for t in range(cfg.release_week, cfg.n_weeks):
+        base = truth.baseline_hazard + alpha + wfx[t - cfg.release_week]
+        if truth.prob_noise_sd > 0:
+            base = base + rng.normal(0.0, truth.prob_noise_sd, P)
+
+        def hazard(p):
+            owning = [(j, f) for j, f in adj[p] if f <= t and bought[j] is not None]
+            return (base[p] + truth.beta * bool(owning)
+                    + truth.beta_kp * any(kp_mask[j] for j, _ in owning)
+                    + truth.beta_of * any(f <= cfg.old_edge_cutoff for _, f in owning))
+
+        for p in range(P):
+            if bought[p] is None:
+                h = hazard(p)
+                clip_low += h < 0.0
+                clip_high += h > 1.0
+        u = rng.random(P)
+        slots = rng.permutation(P)
+        for p in np.argsort(slots).tolist():
+            if bought[p] is None and u[p] < hazard(p):
+                bought[p] = t
+    return bought, int(clip_low), int(clip_high)
+
+
 # ---------------------------------------------------------------------------
 # estimation oracles
 

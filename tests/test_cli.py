@@ -392,6 +392,45 @@ def test_commands_create_missing_output_directories(sim_dir, tmp_path):
         assert (nested / name).is_file(), name
 
 
+def test_non_utf8_config_is_exit_2_with_line(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed = 3\ngame = Pok\xe9mon\n")
+    assert main(["series", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "run.cfg:2" in err and "UTF-8" in err
+
+
+def test_malformed_panel_sidecar_is_exit_1(panel_path, tmp_path, capsys):
+    path = tmp_path / "panel.csv"
+    shutil.copy(panel_path, path)
+    (tmp_path / "panel.csv.meta.json").write_text('{"window": [60')
+    assert main(["estimate", "--panel", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error (ParseError)" in err and "panel.csv.meta.json" in err
+
+
+@pytest.mark.parametrize("command", ["series", "build-panel"])
+def test_out_that_is_a_directory_is_exit_2(sim_dir, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    inputs = ["--achievements", str(sim_dir / "achievements.csv")]
+    if command == "build-panel":
+        inputs += ["--edges", str(sim_dir / "edges.csv"), "--n-per-group", "60"]
+    assert main([command, *inputs, "--window-start", "10", "--window-end", "29",
+                 "--out", str(taken)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["taken"] and os.listdir(taken) == []
+
+
+def test_out_directory_that_is_a_file_is_exit_2(panel_path, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    assert main(["estimate", "--panel", str(panel_path), "--out", str(taken)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "keep me"
+
+
 def test_estimate_empty_panel_is_exit_2(tmp_path, capsys):
     path = tmp_path / "panel.csv"
     path.write_text("player,week," + ",".join(fileio.PANEL_COLUMNS) + "\n")

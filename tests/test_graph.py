@@ -137,6 +137,46 @@ def test_second_degree_counts_blocked_matches_per_node():
     assert counts.tolist() == expect
 
 
+def entries_by_slicing(net, idx):
+    """(r, pos) of :meth:`TemporalNetwork.entries` from one slice per row."""
+    r, pos = [], []
+    for k, i in enumerate(idx):
+        slots = range(net.indptr[i], net.indptr[i + 1])
+        r += [k] * len(slots)
+        pos += list(slots)
+    return r, pos
+
+
+def test_entries_match_per_row_slices():
+    # node 9 has no edge; rows repeat and come unsorted
+    net = build_network([(1, 2, 0), (1, 3, 4), (2, 3, 1), (3, 4, 2)],
+                        nodes=[1, 2, 3, 4, 9])
+    zero = int(net.index_of(9))
+    for idx in ([], [zero], [3, 0, 3, zero, 1, 0], list(range(net.n_nodes))):
+        r, pos = net.entries(np.asarray(idx, dtype=np.int64))
+        assert r.dtype == pos.dtype == np.int64
+        assert (r.tolist(), pos.tolist()) == entries_by_slicing(net, idx)
+    rng = np.random.default_rng(29)
+    net = build_network(random_edges(rng, 50, 120), nodes=range(60))
+    idx = rng.integers(0, net.n_nodes, 80)
+    got = net.entries(idx)
+    assert tuple(a.tolist() for a in got) == entries_by_slicing(net, idx.tolist())
+    # neighbor-ascending within each row
+    r, pos = got
+    same_row = r[1:] == r[:-1]
+    assert (net.nbr[pos][1:][same_row] > net.nbr[pos][:-1][same_row]).all()
+
+
+def test_friend_sum_equals_sparse_product():
+    rng = np.random.default_rng(31)
+    net = build_network(random_edges(rng, 300, 1500), nodes=range(320))
+    # mixed magnitudes make the summation order visible in the last bits
+    v = rng.normal(0.0, 1.0, net.n_nodes) * 10.0 ** rng.integers(-12, 13, net.n_nodes)
+    want = net.csr_at(int(NEVER) - 1) @ v
+    assert np.array_equal(net.friend_sum(v), want)
+    assert (net.friend_sum(v)[net.degrees() == 0] == 0.0).all()
+
+
 def test_degree_cap_enforced():
     edges = [(0, j, 0) for j in range(1, 6)]
     with pytest.raises(InvalidParameterError, match="degree"):

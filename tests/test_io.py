@@ -288,6 +288,18 @@ def test_json_roundtrip_numpy_types(tmp_path):
     assert got == {"a": 3, "b": 0.5, "c": [1, 2]}
 
 
+@pytest.mark.parametrize("raw, line", [(b'{"window": [60', 1),
+                                       (b'{\n "game": "Pok\xe9mon"\n}\n', 2)],
+                         ids=["truncated", "latin1"])
+def test_read_json_malformed_is_parse_error_with_path(tmp_path, raw, line):
+    path = tmp_path / "panel.csv.meta.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as err:
+        fileio.read_json(path)
+    assert err.value.line == line
+    assert str(path) in str(err.value)
+
+
 def test_series_and_scores_formats(tmp_path):
     s = tmp_path / "series.csv"
     fileio.write_series_csv(s, [4, 5], [0, 2])

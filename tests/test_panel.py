@@ -1,8 +1,9 @@
 """Schedule derivation, group sampling, and panel assembly tests.
 
 The randomized panel checks rebuild every cell from the time-sliced
-neighbor queries (`neighbors_at` / `second_degree_at`), which are tested
-against BFS separately — an independent route to the same numbers.
+neighbor queries (`TemporalNetwork.neighbors_at` / `.second_degree_at`),
+which are tested against BFS separately — an independent route to the same
+numbers.
 """
 
 import numpy as np
@@ -22,14 +23,12 @@ from peerfx import (
     build_playtime_crosssection,
     derive_schedule,
     expected_row_count,
-    first_purchasing_friend,
     katz_centrality,
     tag_peers,
 )
-from peerfx.graph import neighbors_at, second_degree_at
-from peerfx.panel import _gather_edges, _sd_block_rows, _sd_pairs
+from peerfx.panel import _first_friend, _sd_block_rows, _sd_pairs
 
-from conftest import adjacency_oracle, random_edges
+from conftest import adjacency_oracle, first_friend_oracle, random_edges
 
 WEEK = 604800
 
@@ -159,7 +158,7 @@ def test_group_sampling_matches_shuffle_prefix():
     adopters = {2}
     treat_pool, control_pool = [], []
     for p in net.nodes.tolist():
-        friends = set(neighbors_at(net, p, 10**9).tolist())
+        friends = set(net.neighbors_at(p, 10**9).tolist())
         (treat_pool if friends & adopters else control_pool).append(p)
     treat_pool = np.asarray(sorted(treat_pool), dtype=np.int64)
     control_pool = np.asarray(sorted(control_pool), dtype=np.int64)
@@ -322,7 +321,7 @@ def oracle_cell(net, purchases, formed, tags, i, t, cfg):
     p_i = purchases.get(i)
     y = float(p_i is not None and (p_i <= t if absorbing else p_i == t))
 
-    friends = neighbors_at(net, i, t).tolist()
+    friends = net.neighbors_at(i, t).tolist()
 
     def agg(contrib, denom):
         if cfg.aggregation == "any":
@@ -346,14 +345,14 @@ def oracle_cell(net, purchases, formed, tags, i, t, cfg):
                    if formed[(min(i, j), max(i, j))] <= tags.old_friend_cutoff])
 
     u = t - 1
-    friends_u = set(neighbors_at(net, i, u).tolist())
+    friends_u = set(net.neighbors_at(i, u).tolist())
 
     def sd_through(middle_ok):
         ks = set()
         for j in friends_u:
             if not middle_ok(j):
                 continue
-            for k in neighbors_at(net, j, u).tolist():
+            for k in net.neighbors_at(j, u).tolist():
                 if k != i and k not in friends_u:
                     ks.add(k)
         return sorted(ks)
@@ -518,7 +517,8 @@ def sd_pairs_oracle(net, sample_idx, keep):
 
 
 def run_sd_pairs(net, sample_idx, masks, **kw):
-    rows, j, f = _gather_edges(net, sample_idx)
+    rows, pos = net.entries(sample_idx)
+    j, f = net.nbr[pos], net.formed[pos]
     masks = [m if m is None else m(j, f) for m in masks]
     return [tuple(a.tolist() for a in out)
             for out in _sd_pairs(net, rows, j, f, sample_idx, masks, **kw)]
@@ -583,20 +583,38 @@ def cov_for(players):
             "start_week": np.zeros(players.size)}
 
 
+def first_friend_ids(net, weeks, players):
+    """``_first_friend`` as player ids (-1 for none) for a {player: week} map."""
+    p_all = np.array([weeks.get(p, NEVER) for p in net.nodes.tolist()], dtype=np.int64)
+    friend, _ = _first_friend(net, p_all, net.indices_of(players))
+    return np.where(friend >= 0, net.nodes[friend], -1).tolist()
+
+
 def test_first_purchasing_friend_rules():
     # 1-2 (week 0), 1-3 (week 0), 1-4 (week 6): 1 buys week 5
-    net = build_network([(1, 2, 0), (1, 3, 0), (1, 4, 6)])
-    sched = AdoptionSchedule("SMB", np.array([1, 2, 3, 4], dtype=np.int64),
-                             np.array([5, 3, 3, 1], dtype=np.int64))
-    got = first_purchasing_friend(net, sched, np.array([1, 2, 4]))
+    edges = [(1, 2, 0), (1, 3, 0), (1, 4, 6)]
+    net, adj = build_network(edges), adjacency_oracle(edges)
+    weeks = {1: 5, 2: 3, 3: 3, 4: 1}
     # 4 bought first (week 1) but the edge forms after 1's purchase; the
-    # week-3 tie between 2 and 3 breaks to the smaller id
-    assert got[0] == 2
-    assert got[1] == -1  # 2's only friend bought later (5 > 3)
-    assert got[2] == -1  # 4's only edge forms after its own purchase
-    same_week = AdoptionSchedule("SMB", np.array([1, 2], dtype=np.int64),
-                                 np.array([5, 5], dtype=np.int64))
-    assert first_purchasing_friend(net, same_week, np.array([1]))[0] == -1
+    # week-3 tie between 2 and 3 breaks to the smaller id.  2's only friend
+    # bought later (5 > 3); 4's only edge forms after its own purchase.
+    assert first_friend_ids(net, weeks, [1, 2, 4]) == [2, -1, -1]
+    assert [first_friend_oracle(adj, weeks, p) for p in (1, 2, 4)] == [2, -1, -1]
+    same_week = {1: 5, 2: 5}
+    assert first_friend_ids(net, same_week, [1]) == [-1]
+    assert first_friend_oracle(adj, same_week, 1) == -1
+
+
+def test_first_friend_matches_oracle_on_random_graphs():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        edges = random_edges(rng, 40, 120, max_week=20)
+        net, adj = build_network(edges), adjacency_oracle(edges)
+        buyers = rng.choice(net.nodes, 25, replace=False).tolist()
+        weeks = dict(zip(buyers, rng.integers(0, 20, len(buyers)).tolist()))
+        players = rng.permutation(net.nodes).tolist()  # unsorted, with non-buyers
+        assert first_friend_ids(net, weeks, players) == \
+            [first_friend_oracle(adj, weeks, p) for p in players]
 
 
 def test_playtime_rows_no_friend_case():

@@ -3,13 +3,14 @@
 The contagion process has one fully deterministic regime: beta = 1 pins
 every exposed player's hazard at the ceiling, so adoption must sweep each
 connected component along the edge-activation timeline.  That invariant
-exercises the within-week heap and the mid-horizon edge buckets without
+exercises the within-week heap and the mid-horizon edges without
 reference to any distributional approximation.
 """
 
 import numpy as np
 import pytest
 
+from conftest import adjacency_oracle, adoption_sweep_oracle, first_friend_oracle
 from peerfx import (
     NEVER,
     InvalidParameterError,
@@ -189,8 +190,39 @@ def test_full_contagion_sweeps_components():
                 checked += 1
                 assert p[v] <= bound, (u, v, fw, int(p[u]), int(p[v]))
     assert checked > 100
-    # and some edges genuinely activated late, so the bucket path ran
+    # and some edges genuinely activated late, so the mid-horizon path ran
     assert (f > cfg.release_week).any()
+
+
+def test_adoption_matches_player_by_player_sweep():
+    # every hazard channel on: mid-horizon and old edges, key-player and
+    # old-friend shifts, per-week noise, and early week effects that push
+    # hazards below zero; about two fifths of the players adopt
+    cfg = SimConfig(n_players=1500, mean_degree=4.0, release_week=60,
+                    formation_end=75, seed=21)
+    horizon = cfg.n_weeks - cfg.release_week
+    wfx = np.zeros(horizon)
+    wfx[:5] = -0.02
+    truth = SimTruth(beta=0.02, beta_kp=0.03, beta_of=0.02,
+                     baseline_hazard=0.002, sigma_alpha=1e-3,
+                     prob_noise_sd=2e-3, week_effects=tuple(wfx))
+    net = gen_network(cfg)
+    kp_mask = np.random.default_rng(5).random(net.n_nodes) < 0.1
+    sched = simulate_adoption(net, cfg, truth, np.random.default_rng(6),
+                              kp_mask=kp_mask)
+    bought, clip_low, clip_high = adoption_sweep_oracle(
+        net, cfg, truth, np.random.default_rng(6), kp_mask)
+    want = [w if w is not None else int(NEVER) for w in bought]
+    assert sched.weeks_for(net.nodes).tolist() == want
+    assert (sched.meta["clip_low"], sched.meta["clip_high"]) == (clip_low, clip_high)
+
+    p = positions_weeks(net, sched)
+    a, b, f = net.edge_array()
+    assert clip_low > 0
+    assert 0.1 < sched.players.size / cfg.n_players < 0.9
+    assert (f <= cfg.old_edge_cutoff).any()
+    # an owner was already exposing its friend when the edge formed
+    assert ((f > cfg.release_week) & ((p[a] < f) | (p[b] < f))).any()
 
 
 def test_null_beta_breaks_peer_correlation():
@@ -261,9 +293,10 @@ def test_playtime_reconstructs_exactly_without_noise():
     truth = SimTruth(beta=0.1, baseline_hazard=0.02, noise_sd=0.0,
                      gamma_kp=0.3, gamma_of=0.2, gamma_nofriend=-0.4)
     out = run_simulation(cfg, truth)
-    from peerfx import first_purchasing_friend
 
     net, tags, cov = out.network, out.tags, out.covariates
+    a, b, f = net.edge_array()
+    adj = adjacency_oracle(zip(net.nodes[a].tolist(), net.nodes[b].tolist(), f.tolist()))
     old_pairs = set(map(tuple, tags.old_friend_pairs.tolist()))
     deg = net.degrees()
     load = truth.playtime_loadings
@@ -273,19 +306,20 @@ def test_playtime_reconstructs_exactly_without_noise():
     playtimes = dict(zip(keys, minutes.tolist()))
     assert len(playtimes) == len(keys)
     for game, sched in out.schedules.items():
-        firsts = first_purchasing_friend(net, sched, sched.players)
-        for q, pid in enumerate(sched.players.tolist()):
+        weeks = dict(zip(sched.players.tolist(), sched.weeks.tolist()))
+        for pid in sched.players.tolist():
+            first = first_friend_oracle(adj, weeks, pid)
             pos = int(np.searchsorted(net.nodes, pid))
             logpt = (truth.playtime_mu
                      + load["num_games"] * cov["num_games"][pos]
                      + load["num_groups"] * cov["num_groups"][pos]
                      + load["start_week"] * cov["start_week"][pos]
                      + load["num_friends"] * deg[pos])
-            if firsts[q] < 0:
+            if first < 0:
                 logpt += truth.gamma_nofriend
             else:
-                logpt += truth.gamma_kp * tags.is_key_player(int(firsts[q]))
-                pair = tuple(sorted((pid, int(firsts[q]))))
+                logpt += truth.gamma_kp * tags.is_key_player(first)
+                pair = tuple(sorted((pid, first)))
                 logpt += truth.gamma_of * (pair in old_pairs)
             want = max(int(np.rint(np.exp(logpt) * 60.0)), 1)
             assert playtimes[(pid, game)] == want
