@@ -102,7 +102,7 @@ _FIELD_KINDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` pairs; blank lines and ``#`` comments ignored."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     bad_line = fileio._first_undecodable_line(path)
     if bad_line is not None:
@@ -146,13 +146,13 @@ def _require(cfg: RunConfig, *names: str):
         if getattr(cfg, name) is None:
             raise ConfigError(f"{name} is required (set it in the config or as a flag)")
     for name in names:
-        if name in _PATH_FIELDS and not os.path.exists(getattr(cfg, name)):
+        if name in _PATH_FIELDS and not os.path.isfile(getattr(cfg, name)):
             raise ConfigError(f"{name}: no such file: {getattr(cfg, name)}")
 
 
 def _optional_path(cfg: RunConfig, name: str):
     value = getattr(cfg, name)
-    if value is not None and not os.path.exists(value):
+    if value is not None and not os.path.isfile(value):
         raise ConfigError(f"{name}: no such file: {value}")
     return value
 

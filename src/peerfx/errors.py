@@ -31,7 +31,8 @@ class InvalidParameterError(PeerEffectsError):
 
 
 class DivergedError(PeerEffectsError):
-    """Katz iteration exceeded the overflow guard for the given alpha."""
+    """The Katz system (I - alpha*A) x = 1 is not positive definite: alpha is
+    at or beyond 1 / spectral radius, where the Katz series diverges."""
 
 
 class InsufficientPoolError(PeerEffectsError):

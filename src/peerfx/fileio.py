@@ -291,7 +291,7 @@ def read_panel_csv(path, meta_path=None):
     columns = dict(zip(_PANEL_HEADER, _read_table(path, _PANEL_HEADER, _PANEL_KINDS)))
     if meta_path is None:
         candidate = os.fspath(path) + ".meta.json"
-        meta = read_json(candidate) if os.path.exists(candidate) else {}
+        meta = read_json(candidate) if os.path.isfile(candidate) else {}
     else:
         meta = read_json(meta_path)
     return columns, meta

@@ -5,8 +5,8 @@ they were formed.  The data model is formation-only (the source data has no
 dissolution timestamps), so "the network as of week t" is simply the subgraph
 of edges with ``formed <= t``.  On top of the time-sliced views this module
 provides second-degree neighborhoods (the instrument's support), Katz
-centrality by power iteration, and the key-player / old-friend tagging that
-the heterogeneity regressors are built from.
+centrality by conjugate gradients, and the key-player / old-friend tagging
+that the heterogeneity regressors are built from.
 """
 
 from __future__ import annotations
@@ -130,11 +130,21 @@ class TemporalNetwork:
         second = second[~_lookup(js, second)[1] & (second != ix)]  # js ascends
         return self.nodes[second]
 
+    def matvec_at(self, t: int) -> Callable[[np.ndarray], np.ndarray]:
+        """``v -> A_t @ v`` for the 0/1 adjacency of the week-t view, in
+        float64.  Each row adds up in CSR order, as a sparse matvec does, so
+        the result is bit-equal to ``csr_at(t) @ v``."""
+        rows, _ = self.entries(np.arange(self.n_nodes))
+        keep = self.formed <= t
+        rows, n = rows[keep], self.n_nodes
+        cols = self.nbr[keep].astype(np.intp)  # gathers faster than int32
+        # with no slots, bincount returns int64 zeros
+        return lambda v: np.bincount(rows, weights=v[cols], minlength=n).astype(
+            np.float64, copy=False)
+
     def friend_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per node, the float64 sum of ``values`` over all its friends, every
-        edge counted; each row adds up in CSR order, as a sparse matvec does."""
-        r, _ = self.entries(np.arange(self.n_nodes))
-        return np.bincount(r, weights=values[self.nbr], minlength=self.n_nodes)
+        """Per node, the float64 sum of ``values`` over all its friends."""
+        return self.matvec_at(NEVER - 1)(values)
 
     def csr_at(self, t: int) -> sp.csr_matrix:
         """0/1 adjacency of the week-t view as a scipy CSR matrix."""
@@ -316,14 +326,11 @@ class CentralityScores:
         return float(self.values[pos])
 
 
-def _estimate_spectral_radius(A: sp.csr_matrix, steps: int = 50) -> float:
-    n = A.shape[0]
-    if n == 0 or A.nnz == 0:
-        return 0.0
+def _estimate_spectral_radius(matvec, n: int, steps: int = 50) -> float:
     v = np.ones(n)
     lam = 0.0
     for _ in range(steps):
-        w = A @ v
+        w = matvec(v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
@@ -332,36 +339,55 @@ def _estimate_spectral_radius(A: sp.csr_matrix, steps: int = 50) -> float:
     return lam
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # pairwise numpy sum, not BLAS: the same bits at any thread count
+    return float(np.add.reduce(a * b))
+
+
 def katz_centrality(net: TemporalNetwork, t: int, alpha: float | None = None,
                     tol: float = 1e-10, max_iter: int = 1000) -> CentralityScores:
-    """Katz centrality of the week-t view: fixed point of x = alpha*A_t*x + 1.
+    """Katz centrality of the week-t view: x solving (I - alpha*A_t) x = 1.
 
     ``alpha=None`` uses 0.9 / lambda_hat, with lambda_hat estimated by 50
     power-iteration steps on A_t (0.9 when the view has no edges, where any
-    alpha yields the all-ones fixed point).  Returns ``converged=False`` with
-    the last iterate if the sup-norm change is still >= tol after max_iter.
+    alpha yields the all-ones solution).  The system is solved by conjugate
+    gradients from x = 1.  It is positive definite exactly when
+    alpha < 1 / rho(A_t), which is when the Katz series converges; a CG step
+    with non-positive curvature p'(I - alpha*A_t)p raises DivergedError.
+    ``iterations`` counts CG steps.  The solve has converged once a step
+    changes no score by tol or more, or the residual is exactly zero;
+    otherwise it returns ``converged=False`` with the iterate after
+    ``max_iter`` steps.
     """
-    A = net.csr_at(t)
+    matvec = net.matvec_at(t)
+    n = net.n_nodes
     if alpha is None:
-        lam = _estimate_spectral_radius(A)
+        lam = _estimate_spectral_radius(matvec, n)
         alpha = 0.9 / lam if lam > 0 else 0.9
     alpha = float(alpha)
     if alpha <= 0:
         raise InvalidParameterError(f"katz alpha must be positive, got {alpha}")
-    n = net.n_nodes
     x = np.ones(n)
-    converged = False
+    r = alpha * matvec(x)  # 1 - (I - alpha*A) 1
+    p = r
+    rr = _dot(r, r)
+    converged = rr == 0.0
     iterations = 0
-    guard = 1e100
-    for iterations in range(1, max_iter + 1):
-        x_new = alpha * (A @ x) + 1.0
-        if not np.isfinite(x_new).all() or (x_new.size and np.abs(x_new).max() > guard):
-            raise DivergedError(f"katz iteration diverged at alpha={alpha}")
-        change = float(np.abs(x_new - x).max()) if n else 0.0
-        x = x_new
-        if change < tol:
-            converged = True
-            break
+    while not converged and iterations < max_iter:
+        iterations += 1
+        q = p - alpha * matvec(p)
+        curvature = _dot(p, q)
+        if not curvature > 0.0:
+            raise DivergedError(
+                f"katz system is not positive definite at alpha={alpha}")
+        step = rr / curvature
+        dx = step * p
+        x += dx
+        r = r - step * q
+        rr_new = _dot(r, r)
+        converged = float(np.abs(dx).max()) < tol or rr_new == 0.0
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     return CentralityScores(net.nodes, x, int(t), alpha, iterations, converged)
 
 

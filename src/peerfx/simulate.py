@@ -229,8 +229,10 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
     Week-start buyers seed a heap keyed by slot; every commit bumps friend
     exposure counts over edges already formed, and a friend whose updated
     hazard now exceeds their uniform joins the heap if their slot is still
-    ahead.  Because hazards only rise within a week, this reproduces a
-    strict player-by-player sweep while touching only actual buyers.
+    ahead.  When a peer shift is negative, a commit can also lower a queued
+    friend's hazard, so each popped player is checked against their current
+    hazard again.  This reproduces a strict player-by-player sweep while
+    touching only actual buyers.
 
     ``kp_mask`` marks key players by position (needed when ``beta_kp`` is
     nonzero); old-friend edges come from ``cfg.old_edge_cutoff``.
@@ -265,6 +267,8 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
     n_f, n_kp, n_of = (np.zeros(P, dtype=np.int32) for _ in range(3))  # exposure counts
     at_risk = np.ones(P, dtype=bool)
     clip_low = clip_high = 0
+    # only a negative shift can lower a queued player's hazard before their slot
+    recheck = min(truth.beta, truth.beta_kp, truth.beta_of) < 0.0
 
     def expose(i, idx):
         """Owner ``i`` exposes the friend at directed slot ``idx``; returns it."""
@@ -300,6 +304,8 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
         heapq.heapify(heap)
         while heap:
             r, i = heapq.heappop(heap)
+            if recheck and not u[i] < hazard(i):
+                continue
             p_week[i] = t
             at_risk[i] = False
             for idx in range(indptr[i], indptr[i + 1]):

@@ -56,6 +56,23 @@ def katz_dense_oracle(adj, nodes, t, alpha):
     return np.linalg.solve(np.eye(n) - alpha * A, np.ones(n))
 
 
+def katz_alpha_oracle(A, steps=50):
+    """Katz's default alpha, 0.9 / lambda_hat (0.9 without edges), with
+    lambda_hat the norm ratio after ``steps`` power steps of the scipy
+    matrix ``A`` from the all-ones vector."""
+    v = np.ones(A.shape[0])
+    lam = 0.0
+    for _ in range(steps):
+        w = A @ v
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            lam = 0.0
+            break
+        lam = norm / float(np.linalg.norm(v))
+        v = w / norm
+    return 0.9 / lam if lam > 0 else 0.9
+
+
 def random_edges(rng, n_nodes, n_edges, max_week=30):
     a = rng.integers(0, n_nodes, n_edges)
     b = rng.integers(0, n_nodes, n_edges)

@@ -400,6 +400,28 @@ def test_non_utf8_config_is_exit_2_with_line(tmp_path, capsys):
     assert "config error:" in err and "run.cfg:2" in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--achievements", "--node-filter"])
+def test_directory_as_input_path_is_exit_2(sim_dir, tmp_path, capsys, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {"--config": ["series", "--config", str(folder)],
+            "--achievements": ["series", "--achievements", str(folder),
+                               "--window-start", "0", "--window-end", "5"],
+            "--node-filter": ["katz", "--edges", str(sim_dir / "edges.csv"),
+                              "--node-filter", str(folder), "--week", "6",
+                              "--out", str(tmp_path / "scores.csv")]}[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(folder) in err
+
+
+def test_directory_in_place_of_panel_sidecar_reads_as_no_sidecar(panel_path, tmp_path):
+    path = tmp_path / "panel.csv"
+    shutil.copy(panel_path, path)
+    (tmp_path / "panel.csv.meta.json").mkdir()
+    assert main(["estimate", "--panel", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_malformed_panel_sidecar_is_exit_1(panel_path, tmp_path, capsys):
     path = tmp_path / "panel.csv"
     shutil.copy(panel_path, path)
@@ -516,9 +538,8 @@ def _checkout_env():
 def test_cli_import_and_fits_load_no_scipy(panel_path, tmp_path):
     """Every command process imports ``peerfx.cli``.  That import, and the
     ``estimate`` and ``heterogeneity --method 2sls`` fits on a full-rank
-    panel, run on numpy alone: scipy.sparse is loaded by the commands that
-    build sparse matrices and scipy.linalg only when a design fails the
-    rank screen."""
+    panel, run on numpy alone: scipy.linalg is loaded only when a design
+    fails the rank screen."""
     probe = (
         "import sys\n"
         "def scipy_modules():\n"
@@ -537,6 +558,35 @@ def test_cli_import_and_fits_load_no_scipy(panel_path, tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "[]"
+
+
+def test_katz_commands_load_no_scipy(tmp_path):
+    """``simulate``, ``build-panel``, ``playtime`` and ``katz`` compute Katz
+    centrality on numpy alone: no scipy module is loaded."""
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    inputs = ["--edges", str(sim / "edges.csv"),
+              "--achievements", str(sim / "achievements.csv")]
+    argvs = [
+        ["simulate", "--out", str(sim), *SIM_ARGS],
+        ["build-panel", *inputs, "--out", str(out / "panel.csv"),
+         "--release-week", "10", "--window-start", "10", "--window-end", "29",
+         "--n-per-group", "60", "--seed", "3"],
+        ["playtime", *inputs, "--playtime", str(sim / "playtime.csv"),
+         "--covariates", str(sim / "covariates.csv"), "--release-week", "10",
+         "--out", str(out)],
+        ["katz", "--edges", str(sim / "edges.csv"), "--week", "6",
+         "--out", str(out / "scores.csv")],
+    ]
+    probe = (
+        "import sys\n"
+        "from peerfx.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_checkout_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _series(cmd, ach, cwd, env):

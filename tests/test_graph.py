@@ -1,14 +1,20 @@
 """Temporal network construction, time-sliced queries, Katz, peer tags."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import peerfx
 from peerfx import (NEVER, DivergedError, InvalidParameterError, NotFoundError,
                     build_network, katz_centrality, tag_peers, week_of_unix)
 from peerfx.graph import _lookup, second_degree_counts
 
-from conftest import (adjacency_oracle, katz_dense_oracle, neighbors_oracle,
-                      random_edges, second_degree_oracle)
+from conftest import (adjacency_oracle, katz_alpha_oracle, katz_dense_oracle,
+                      neighbors_oracle, random_edges, second_degree_oracle)
 
 
 def test_week_of_unix_floor_division():
@@ -177,6 +183,19 @@ def test_friend_sum_equals_sparse_product():
     assert (net.friend_sum(v)[net.degrees() == 0] == 0.0).all()
 
 
+@pytest.mark.parametrize("t", [15, -1, int(NEVER) - 1])
+def test_matvec_at_equals_sparse_product(t):
+    # a mid week, a week before any edge formed, and the all-weeks view
+    rng = np.random.default_rng(33)
+    net = build_network(random_edges(rng, 300, 1500), nodes=range(320))
+    v = rng.normal(0.0, 1.0, net.n_nodes) * 10.0 ** rng.integers(-12, 13, net.n_nodes)
+    got = net.matvec_at(t)(v)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, net.csr_at(t) @ v)
+    if t < 0:
+        assert not got.any()
+
+
 def test_degree_cap_enforced():
     edges = [(0, j, 0) for j in range(1, 6)]
     with pytest.raises(InvalidParameterError, match="degree"):
@@ -224,10 +243,51 @@ def test_katz_default_alpha_converges_on_random_graph():
 
 
 def test_katz_max_iter_reports_not_converged():
-    net = build_network([(0, 1, 0), (1, 2, 0)])
+    # a 12-node path: the all-ones right-hand side spans 6 eigen-directions,
+    # so CG needs more than 2 steps
+    net = build_network([(i, i + 1, 0) for i in range(11)])
+    assert katz_centrality(net, 0, alpha=0.45).iterations > 2
     scores = katz_centrality(net, 0, alpha=0.45, max_iter=2)
     assert not scores.converged
     assert scores.iterations == 2
+
+
+def test_katz_default_alpha_matches_power_estimate_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        net = build_network(random_edges(rng, 80, 200))
+        t = int(rng.integers(5, 31))
+        assert katz_centrality(net, t).alpha == katz_alpha_oracle(net.csr_at(t))
+
+
+def test_katz_beyond_inverse_spectral_radius_diverges():
+    rng = np.random.default_rng(43)
+    net = build_network(random_edges(rng, 60, 150))
+    rho = float(np.linalg.eigvalsh(net.csr_at(30).toarray().astype(float)).max())
+    assert katz_centrality(net, 30, alpha=0.98 / rho).converged
+    with pytest.raises(DivergedError):
+        katz_centrality(net, 30, alpha=1.02 / rho)
+
+
+def test_katz_scores_identical_across_thread_counts():
+    probe = (
+        "import hashlib\n"
+        "from peerfx import SimConfig, gen_network, katz_centrality\n"
+        "net = gen_network(SimConfig(n_players=5000, mean_degree=6.0, seed=3))\n"
+        "s = katz_centrality(net, 56)\n"
+        "print(s.alpha.hex(), s.iterations,\n"
+        "      hashlib.sha256(s.values.tobytes()).hexdigest())\n")
+    src = str(Path(peerfx.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_katz_time_slice_uses_only_formed_edges():

@@ -194,6 +194,35 @@ def test_full_contagion_sweeps_components():
     assert (f > cfg.release_week).any()
 
 
+def assert_matches_sweep(net, cfg, truth, kp_mask):
+    """Run the simulator and the sweep oracle on the same draws, require the
+    same schedule and clip counts; returns the schedule and clip_low."""
+    sched = simulate_adoption(net, cfg, truth, np.random.default_rng(6),
+                              kp_mask=kp_mask)
+    bought, clip_low, clip_high = adoption_sweep_oracle(
+        net, cfg, truth, np.random.default_rng(6), kp_mask)
+    want = [w if w is not None else int(NEVER) for w in bought]
+    assert sched.weeks_for(net.nodes).tolist() == want
+    assert (sched.meta["clip_low"], sched.meta["clip_high"]) == (clip_low, clip_high)
+    return sched, clip_low
+
+
+@pytest.mark.parametrize("shifts", [
+    dict(beta=-0.01, baseline_hazard=0.012),
+    dict(beta=0.03, beta_kp=-0.02, baseline_hazard=0.01),
+], ids=["negative", "mixed-sign"])
+def test_adoption_matches_sweep_with_negative_peer_shifts(shifts):
+    # a commit lowers the hazard of friends queued later in the same week;
+    # the simulator must drop those whose uniform is now above it
+    cfg = SimConfig(n_players=1500, mean_degree=4.0, release_week=60,
+                    formation_end=75, seed=21)
+    net = gen_network(cfg)
+    kp_mask = np.random.default_rng(5).random(net.n_nodes) < 0.1
+    truth = SimTruth(sigma_alpha=0.0, **shifts)
+    sched, _ = assert_matches_sweep(net, cfg, truth, kp_mask)
+    assert sched.players.size > 300
+
+
 def test_adoption_matches_player_by_player_sweep():
     # every hazard channel on: mid-horizon and old edges, key-player and
     # old-friend shifts, per-week noise, and early week effects that push
@@ -208,13 +237,7 @@ def test_adoption_matches_player_by_player_sweep():
                      prob_noise_sd=2e-3, week_effects=tuple(wfx))
     net = gen_network(cfg)
     kp_mask = np.random.default_rng(5).random(net.n_nodes) < 0.1
-    sched = simulate_adoption(net, cfg, truth, np.random.default_rng(6),
-                              kp_mask=kp_mask)
-    bought, clip_low, clip_high = adoption_sweep_oracle(
-        net, cfg, truth, np.random.default_rng(6), kp_mask)
-    want = [w if w is not None else int(NEVER) for w in bought]
-    assert sched.weeks_for(net.nodes).tolist() == want
-    assert (sched.meta["clip_low"], sched.meta["clip_high"]) == (clip_low, clip_high)
+    sched, clip_low = assert_matches_sweep(net, cfg, truth, kp_mask)
 
     p = positions_weeks(net, sched)
     a, b, f = net.edge_array()
