@@ -108,7 +108,7 @@ def parse_config_file(path: str) -> dict:
     if bad_line is not None:
         raise ConfigError(f"{path}:{bad_line}: not UTF-8 text")
     raw = {}
-    with open(path, encoding="utf-8") as fh:
+    with fileio._open_read(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -291,6 +291,9 @@ def _cr1_sandwich(A: np.ndarray, S: np.ndarray, u: np.ndarray, codes: np.ndarray
     if G < 2:
         raise InsufficientClustersError(f"need at least 2 clusters, got {G}")
     N, K = S.shape[0], A.shape[1]
+    if N <= K:
+        raise InvalidParameterError(
+            f"{N} rows for {K} coefficients: the CR1 factor (N-1)/(N-K) needs N > K")
     bread = np.linalg.solve(A, np.eye(K))
     scores = np.empty((G, S.shape[1]))
     for c in range(S.shape[1]):

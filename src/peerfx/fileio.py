@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
 import json
 import os
 import re
@@ -25,10 +26,12 @@ from .errors import ConfigError, ParseError
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w"):
+def atomic_write(path):
     """Write UTF-8 text to a temp file next to ``path`` and rename into place
     on success.  A ``path`` that is a directory, or whose directory part is
-    a file, is a :class:`ConfigError` raised before any temp file exists."""
+    a file, is a :class:`ConfigError` raised before any temp file exists.
+    A ``.gz`` path gets a gzip header with no file name and mtime 0, so equal
+    text gives equal bytes on every run."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
@@ -39,13 +42,11 @@ def atomic_write(path, mode: str = "w"):
         raise ConfigError(f"{directory}: not a directory, cannot write {path}") from None
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        if path.endswith(".gz"):
-            os.close(fd)
-            handle = gzip.open(tmp, mode + "t", encoding="utf-8", newline="")
-        else:
-            handle = os.fdopen(fd, mode, encoding="utf-8", newline="")
-        with handle:
-            yield handle
+        with open(fd, "wb") as raw:
+            out = (gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
+                   if path.endswith(".gz") else raw)
+            with io.TextIOWrapper(out, encoding="utf-8", newline="") as handle:
+                yield handle
         os.replace(tmp, path)
     except BaseException:
         try:

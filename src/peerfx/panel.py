@@ -231,15 +231,17 @@ def expected_row_count(n_players: int, window) -> int:
 # Flag bits of a packed second-degree path key: bit v marks a path whose
 # first hop passes the v-th level-1 mask (all / key-player middle / old friend).
 _SD_FLAG_BITS = 3
+# Two-hop paths expanded at once (a single row may exceed it): bounds the
+# packed keys of a block and each array that builds them.
+_SD_PATH_BUDGET = 8_000_000
 
 
-def _sd_block_rows(block: int, n_nodes: int, max_week: int) -> int:
-    """Rows per panel block whose packed second-degree keys fit in 63 bits.
+def _sd_block_rows(n_nodes: int, max_week: int) -> int:
+    """Most rows per block whose packed second-degree keys fit in 63 bits.
 
     A key spends bit_length(rows * n_nodes - 1) bits on the (row, k) pair,
     bit_length(max_week) on the week and ``_SD_FLAG_BITS`` on the flags (see
-    :func:`_sd_pairs`).  Returns ``block`` lowered to the largest row count
-    that fits; raises when not even one row does.
+    :func:`_sd_pairs`).  Raises when not even one row fits.
     """
     free = 63 - _SD_FLAG_BITS - int(max_week).bit_length()
     fit = (1 << free) // max(int(n_nodes), 1) if free >= 0 else 0
@@ -247,100 +249,106 @@ def _sd_block_rows(block: int, n_nodes: int, max_week: int) -> int:
         raise InvalidParameterError(
             f"{n_nodes} nodes with formation weeks up to {max_week} do not fit "
             "a 63-bit second-degree path key")
-    return min(int(block), fit)
+    return fit
 
 
-def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks, chunk_paths=8_000_000):
+def _sd_blocks(paths: np.ndarray, cap: int):
+    """Consecutive [start, stop) row ranges covering ``paths`` (two-hop paths
+    per row).  A range takes rows while their paths fit ``_SD_PATH_BUDGET``,
+    at least one (a row over the budget is a range of its own), at most ``cap``."""
+    csum = np.cumsum(paths)
+    start = 0
+    while start < csum.size:
+        base = csum[start - 1] if start else 0
+        stop = int(np.searchsorted(csum, base + _SD_PATH_BUDGET, side="right"))
+        stop = min(max(stop, start + 1), start + cap, csum.size)
+        yield start, stop
+        start = stop
+
+
+def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks):
     """Unique second-degree pairs reachable through the given level-1 edges.
 
-    ``rows, j_idx, f_ij`` are the level-1 edges of a block of sampled nodes
-    (``sample_idx``) in :meth:`TemporalNetwork.entries` order: row (a
-    position in ``sample_idx``), neighbor index and formation week.  Yields one
-    (row, k_idx, w2, f_direct) tuple per entry of ``masks``, in order: per
-    unique (row, k) the earliest week the pair is path-connected (min over
-    paths of max(f_ij, f_jk)) and the week a DIRECT i-k edge forms (NEVER
-    when none), sorted by (row, k).  Membership in the second-degree set at
-    week t is ``w2 <= t < f_direct``.  A mask (a boolean array over the
-    level-1 edges, or None for all) restricts the first hop, e.g. to
-    key-player middle nodes or old-friend edges; the direct-edge exclusion
-    always uses every level-1 edge.
+    ``rows, j_idx, f_ij`` are the level-1 edges of the sampled nodes
+    ``sample_idx`` in :meth:`TemporalNetwork.entries` order: row (a position
+    in ``sample_idx``), neighbor index and formation week.  Yields
+    (v, row, k_idx, w2, f_direct) tuples for mask v of ``masks``: per unique
+    (row, k) the earliest week the pair is path-connected (min over paths of
+    max(f_ij, f_jk)) and the week a DIRECT i-k edge forms (NEVER when none).
+    Membership in the second-degree set at week t is ``w2 <= t < f_direct``.
+    A mask (a boolean array over the level-1 edges, or None for all)
+    restricts the first hop, e.g. to key-player middle nodes or old-friend
+    edges; the direct-edge exclusion always uses every level-1 edge.
 
-    Every two-hop path is expanded once (in chunks of about ``chunk_paths``)
-    into one int64 key, ``((row * n + k) << wbits | w2) << 3 | flags``,
-    where ``wbits`` is the bit length of the latest formation week and flag
-    bit v is set when the path's first hop passes mask v.  One value sort
-    then orders the paths by (row, k, w2).  The direct-edge lookup runs once
-    over the unique (row, k) pairs.  Each mask's earliest path per pair is
-    the first path in the pair's group carrying its flag, because a masked
-    subsequence of a sorted array is still sorted.  A block whose
-    ``sample_idx.size`` rows exceed the key's 63-bit budget (see
-    :func:`_sd_block_rows`) raises, so a key never wraps.  Results are
-    yielded one mask at a time so only one mask's arrays are alive at once.
+    Rows are expanded in the blocks of :func:`_sd_blocks`, each within
+    ``_SD_PATH_BUDGET`` two-hop paths unless it is one row, so the budget
+    bounds the paths alive at once.  A block's paths become one int64 key
+    each, ``((row * n + k) << wbits | w2) << 3 | flags`` (row counted from
+    the block's first), where ``wbits`` is the bit length of the latest
+    formation week and flag bit v is set when the path's first hop passes
+    mask v.  One value sort orders them by (row, k, w2), and one direct-edge
+    lookup runs over the unique (row, k) pairs.  Each mask's earliest path
+    per pair is the first path in the pair's group carrying its flag, as a
+    masked subsequence of a sorted array is still sorted.  A block yields
+    its masks in order, pairs sorted by (row, k).
     """
     n = net.n_nodes
     max_week = int(net.formed.max()) if net.formed.size else 0
-    if _sd_block_rows(sample_idx.size, n, max_week) < sample_idx.size:
-        raise InvalidParameterError(
-            f"{sample_idx.size} rows x {n} nodes overflow the second-degree path key")
     wbits = max_week.bit_length()
     shift = wbits + _SD_FLAG_BITS
     flags = np.zeros(rows.size, dtype=np.int64)
     for v, keep in enumerate(masks):
         flags[slice(None) if keep is None else keep] |= 1 << v
+    paths = net.friend_sum(net.degrees())[sample_idx].astype(np.int64)  # per row
 
-    parts = []
-    # chunk the level-1 edge list so each expansion stays within the path budget
-    csum = np.cumsum(net.degrees()[j_idx])
-    start = 0
-    while start < rows.size:
-        stop = int(np.searchsorted(csum, (csum[start - 1] if start else 0) + chunk_paths)) + 1
-        stop = min(max(stop, start + 1), rows.size)
-        e, pos = net.entries(j_idx[start:stop])
-        e += start  # the level-1 edge of each path
-        key = rows[e]
+    for start, stop in _sd_blocks(paths, _sd_block_rows(n, max_week)):
+        lo, hi = np.searchsorted(rows, (start, stop))
+        b_rows, b_j, b_f = rows[lo:hi] - start, j_idx[lo:hi], f_ij[lo:hi]
+        e, pos = net.entries(b_j)  # the block's level-1 edge of each path
+        key = b_rows[e]
         k = net.nbr[pos]
-        notself = k != sample_idx[key]
+        notself = k != sample_idx[start:stop][key]
         key *= n
         key += k
         del k
         key <<= wbits
-        key |= np.maximum(f_ij[e], net.formed[pos])
+        key |= np.maximum(b_f[e], net.formed[pos])
         del pos
         key <<= _SD_FLAG_BITS
-        key |= flags[e]
+        key |= flags[lo:hi][e]
         del e
-        parts.append(key[notself])
-        start = stop
-    key = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    del parts
-    key.sort()
+        key = key[notself]
+        del notself
+        key.sort()
 
-    # one direct-edge lookup over the unique (row, k) pairs
-    pair = key >> shift
-    head = np.ones(key.size, dtype=bool)
-    np.not_equal(pair[1:], pair[:-1], out=head[1:])
-    upair = pair[head]
-    del pair
-    # direct-edge keys are sorted: rows ascend, neighbors ascend per row
-    at, hit = _lookup(rows * n + j_idx, upair)
-    del upair
-    f_direct = np.full(hit.size, NEVER, dtype=np.int64)
-    f_direct[hit] = f_ij[at[hit]]
-    del at, hit
-    group = np.cumsum(head) - 1  # unique-pair index of each path
-    del head
-    for v in range(len(masks)):
-        pos = np.flatnonzero(key & (1 << v))
-        pair = key[pos] >> shift
-        first = np.ones(pos.size, dtype=bool)
-        np.not_equal(pair[1:], pair[:-1], out=first[1:])
-        pos = pos[first]
-        row, k = np.divmod(pair[first], n)
-        w2 = (key[pos] >> _SD_FLAG_BITS) & ((1 << wbits) - 1)
-        fdir = f_direct[group[pos]]
-        del pos, pair, first
-        yield row, k, w2, fdir
-        del row, k, w2, fdir
+        # one direct-edge lookup over the unique (row, k) pairs
+        pair = key >> shift
+        head = np.ones(key.size, dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=head[1:])
+        upair = pair[head]
+        del pair
+        # direct-edge keys are sorted: rows ascend, neighbors ascend per row
+        at, hit = _lookup(b_rows * n + b_j, upair)
+        del upair
+        f_direct = np.full(hit.size, NEVER, dtype=np.int64)
+        f_direct[hit] = b_f[at[hit]]
+        del at, hit
+        group = np.cumsum(head) - 1  # unique-pair index of each path
+        del head
+        for v in range(len(masks)):
+            pos = np.flatnonzero(key & (1 << v))
+            pair = key[pos] >> shift
+            first = np.ones(pos.size, dtype=bool)
+            np.not_equal(pair[1:], pair[:-1], out=first[1:])
+            pos = pos[first]
+            row, k = np.divmod(pair[first], n)
+            row += start
+            w2 = (key[pos] >> _SD_FLAG_BITS) & ((1 << wbits) - 1)
+            fdir = f_direct[group[pos]]
+            del pos, pair, first
+            yield v, row, k, w2, fdir
+            del row, k, w2, fdir
+        del key, group, f_direct
 
 
 def _key_player_mask(net: TemporalNetwork, tags: PeerTags) -> np.ndarray:
@@ -389,8 +397,8 @@ def _add_members(grid, denom, rows, start, end, p, lag, w0, W, absorbing):
 
 
 def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags,
-                groups: GroupAssignment, window, cfg: PanelConfig | None = None,
-                block: int = 4096) -> PanelDataset:
+                groups: GroupAssignment, window,
+                cfg: PanelConfig | None = None) -> PanelDataset:
     """Assemble the balanced player-by-week panel.
 
     For each sampled player i and week t in (w_start, w_end]:
@@ -408,20 +416,20 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     The first window week carries no rows (the lag consumes it).  Rows are
     player-major; with ``censor_after_purchase`` rows after a player's own
     purchase week are dropped (the panel is then no longer balanced).
-    Sampled players are processed ``block`` at a time, fewer when their
-    packed second-degree path keys would not fit 63 bits.
+    The x columns are filled once over all sampled players; the z columns
+    from :func:`_sd_pairs`, whose budget of ``_SD_PATH_BUDGET`` (8,000,000)
+    two-hop paths per block bounds the instrument's memory at any degree.
     """
     cfg = cfg or PanelConfig()
+    players = groups.all_players()
+    n_balanced = expected_row_count(players.size, window)  # rejects an empty window
     w0, w1 = int(window[0]), int(window[1])
-    if w1 <= w0:
-        raise InvalidParameterError(f"window [{w0}, {w1}] has no post-lag weeks")
     if tags.reference_week >= w0:
         warnings.warn("tags.reference_week is inside the panel window; "
                       "key-player/old-friend tags are not predetermined")
-    players = groups.all_players()
     if players.size == 0:
         raise InvalidParameterError("no sampled players")
-    sample_idx_all = net.indices_of(players)
+    sample_idx = net.indices_of(players)
     P = players.size
     W = w1 - w0 + 1
     mean_mode = cfg.aggregation == "mean"
@@ -429,36 +437,28 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
 
     names = ("x_friend", "x_kp", "x_of", "z_sd_lag", "z_kp_lag", "z_of_lag")
     grids = {n: np.zeros((P, W), dtype=np.int32) for n in names}
-    denoms = {n: np.zeros((P, W), dtype=np.int32) for n in names} if mean_mode else None
+    denoms = {n: np.zeros((P, W), dtype=np.int32) for n in names} if mean_mode else {}
 
     kp_flag = _key_player_mask(net, tags)
     p_all = schedule.weeks_for(net.nodes)  # purchase week per dense index
-    block = _sd_block_rows(block, net.n_nodes,
-                           int(net.formed.max()) if net.formed.size else 0)
+    rows, pos = net.entries(sample_idx)
+    j_idx, f_ij = net.nbr[pos], net.formed[pos]
+    masks = (None, kp_flag[j_idx], f_ij <= tags.old_friend_cutoff)
 
-    for s in range(0, P, block):
-        bidx = np.arange(s, min(s + block, P))
-        sub_idx = sample_idx_all[bidx]
-        rows, pos = net.entries(sub_idx)
-        j_idx, f_ij = net.nbr[pos], net.formed[pos]
-        rows_g = bidx[rows]  # global grid rows
-        masks = (None, kp_flag[j_idx], f_ij <= tags.old_friend_cutoff)
+    # --- x columns: one interval / point per qualifying friend edge
+    for name, keep in zip(names[:3], masks):
+        e = slice(None) if keep is None else keep
+        r = rows[e]
+        _add_members(grids[name], denoms.get(name), r, f_ij[e],
+                     np.full(r.size, NEVER), p_all[j_idx[e]], 0, w0, W, absorbing)
 
-        # --- x columns: one interval / point per qualifying friend edge
-        for name, keep in zip(("x_friend", "x_kp", "x_of"), masks):
-            e = slice(None) if keep is None else keep
-            r = rows_g[e]
-            _add_members(grids[name], denoms[name] if mean_mode else None,
-                         r, f_ij[e], np.full(r.size, NEVER), p_all[j_idx[e]],
-                         0, w0, W, absorbing)
-
-        # --- z columns: one interval / point per unique second-degree pair,
-        # one variant at a time so only one variant's pairs are alive
-        sd = _sd_pairs(net, rows, j_idx, f_ij, sub_idx, masks)
-        for name, (prow, k, w2, fdir) in zip(("z_sd_lag", "z_kp_lag", "z_of_lag"), sd):
-            _add_members(grids[name], denoms[name] if mean_mode else None,
-                         bidx[prow], w2, fdir, p_all[k], 1, w0, W, absorbing)
-            del prow, k, w2, fdir
+    # --- z columns: one interval / point per unique second-degree pair,
+    # one path block and variant at a time so only those pairs are alive
+    for v, prow, k, w2, fdir in _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks):
+        name = names[3 + v]
+        _add_members(grids[name], denoms.get(name), prow, w2, fdir, p_all[k],
+                     1, w0, W, absorbing)
+        del prow, k, w2, fdir
 
     # interval diffs -> running counts (event mode stores points directly)
     for name in names:
@@ -468,7 +468,7 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
             np.cumsum(denoms[name], axis=1, out=denoms[name])
 
     # --- y from own purchase weeks
-    p_own = p_all[sample_idx_all]
+    p_own = p_all[sample_idx]
     if absorbing:
         # owned from the purchase column on; no in-window purchase -> column W
         start = np.where(p_own <= w1, np.maximum(p_own - w0, 0), W)
@@ -495,7 +495,6 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     player_col = np.repeat(players, W - 1)
     week_col = np.tile(np.arange(w0 + 1, w1 + 1, dtype=np.int64), P)
 
-    n_balanced = P * (W - 1)
     if cfg.censor_after_purchase:
         limit = np.repeat(np.where(p_own == NEVER, np.int64(w1), p_own), W - 1)
         keep = week_col <= limit
@@ -513,7 +512,7 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
         "n_treatment": int(groups.treatment.size),
         "n_control": int(groups.control.size),
         "n_rows": int(player_col.size),
-        "n_rows_balanced": int(n_balanced),
+        "n_rows_balanced": n_balanced,
         "first_week_dropped": w0,
         "reference_week": int(tags.reference_week),
     }

@@ -392,6 +392,34 @@ def test_commands_create_missing_output_directories(sim_dir, tmp_path):
         assert (nested / name).is_file(), name
 
 
+def test_gzip_config_file_reads_like_plain(tmp_path, capsys):
+    text = b"# settings\ngame = NV\nseed = 9\n"
+    plain, packed = tmp_path / "run.cfg", tmp_path / "run.cfg.gz"
+    plain.write_bytes(text)
+    packed.write_bytes(gzip.compress(text))
+    assert parse_config_file(str(packed)) == {
+        k: (v, line, str(packed)) for k, (v, line, _) in parse_config_file(str(plain)).items()}
+    packed.write_bytes(gzip.compress(text + b"bogus_key = 1\n"))
+    assert main(["series", "--config", str(packed)]) == 2
+    assert "run.cfg.gz:4" in capsys.readouterr().err
+
+
+def test_gzip_output_is_byte_identical_across_runs(sim_dir, tmp_path):
+    # the gzip header holds no file name (the random temp name differed per
+    # run) and mtime 0 (the write time differed)
+    out = tmp_path / "panel.csv.gz"
+    argv = ["build-panel", "--edges", str(sim_dir / "edges.csv"),
+            "--achievements", str(sim_dir / "achievements.csv"),
+            "--out", str(out), "--release-week", "10", "--window-start", "10",
+            "--window-end", "29", "--n-per-group", "20", "--seed", "3"]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    flags, mtime = first[3], int.from_bytes(first[4:8], "little")
+    assert first[:2] == b"\x1f\x8b" and not flags & 0x08 and mtime == 0
+    assert main(argv) == 0
+    assert out.read_bytes() == first
+
+
 def test_non_utf8_config_is_exit_2_with_line(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_bytes(b"seed = 3\ngame = Pok\xe9mon\n")

@@ -278,6 +278,15 @@ def test_ols_insufficient_clusters():
                               cluster="cl"))
 
 
+def test_pooled_ols_with_as_many_rows_as_coefficients_is_invalid():
+    # y on x plus a constant from two rows: (N-1)/(N-K) in the CR1 factor
+    # divided by zero
+    d = {"y": np.array([1.0, 3.0]), "x": np.array([0.0, 1.0])}
+    with pytest.raises(InvalidParameterError, match="2 rows for 2 coefficients"):
+        ols_fit(d, DesignSpec(outcome="y", exog=("x",), fixed_effects=(),
+                              cluster=None))
+
+
 def test_ols_counts_singleton_clusters():
     rng = np.random.default_rng(11)
     n = 12
@@ -655,3 +664,14 @@ def test_fit_result_summary_and_confint():
     assert wide[0] < lo and hi < wide[1]
     rows = fit.csv_rows(prefix="ols_")
     assert rows[0][0] == "ols_x"
+
+
+def test_playtime_with_as_many_rows_as_kept_terms_is_invalid():
+    # variant 3 keeps 8 terms here (owns_smb and owns_nv are flat): 8 rows
+    # are invalid, 7 rows cannot be full rank, 9 rows fit
+    rows = make_rows(np.random.default_rng(0), n=9)
+    assert len(playtime_fit(rows, variant=3).terms) == 8
+    with pytest.raises(InvalidParameterError, match="8 rows for 8 coefficients"):
+        playtime_fit(rows[:8], variant=3)
+    with pytest.raises(RankDeficientError):
+        playtime_fit(rows[:7], variant=3)

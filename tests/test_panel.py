@@ -26,7 +26,8 @@ from peerfx import (
     katz_centrality,
     tag_peers,
 )
-from peerfx.panel import _first_friend, _sd_block_rows, _sd_pairs
+from peerfx import panel as panel_mod
+from peerfx.panel import _first_friend, _sd_block_rows, _sd_blocks, _sd_pairs
 
 from conftest import adjacency_oracle, first_friend_oracle, random_edges
 
@@ -373,7 +374,9 @@ def oracle_cell(net, purchases, formed, tags, i, t, cfg):
 
 @pytest.mark.parametrize("cfg", CASES, ids=["absorbing-any", "event-any",
                                             "sum", "mean"])
-def test_panel_matches_neighbor_query_oracle(cfg):
+def test_panel_matches_neighbor_query_oracle(cfg, monkeypatch):
+    # a 37-path budget cuts the ten sampled players into several path blocks
+    monkeypatch.setattr(panel_mod, "_SD_PATH_BUDGET", 37)
     rng = np.random.default_rng(42)
     for _ in range(6):
         n = 30
@@ -392,7 +395,7 @@ def test_panel_matches_neighbor_query_oracle(cfg):
         inhabited = [p for p in range(n) if p in adj]
         sample = rng.choice(inhabited, size=10, replace=False)
         groups = make_groups(sample[:6], sample[6:])
-        panel = build_panel(net, sched, tags, groups, (27, 34), cfg, block=4)
+        panel = build_panel(net, sched, tags, groups, (27, 34), cfg)
 
         names = ("y", "x_friend", "x_kp", "x_of", "z_sd_lag", "z_kp_lag",
                  "z_of_lag")
@@ -450,7 +453,7 @@ def test_panel_control_rows_never_treated():
     assert not panel.column("x_friend")[ctrl].any()
 
 
-def test_panel_determinism():
+def test_panel_determinism(monkeypatch):
     rng = np.random.default_rng(8)
     edges = random_edges(rng, 50, 150)
     net = build_network(edges)
@@ -459,8 +462,10 @@ def test_panel_determinism():
         "SMB", buyers, rng.integers(0, 40, buyers.size).astype(np.int64))
     tags = make_tags(old_friend_cutoff=3)
     groups = make_groups(net.nodes[:10].tolist(), net.nodes[10:20].tolist())
-    a = build_panel(net, sched, tags, groups, (25, 33), block=3)
-    b = build_panel(net, sched, tags, groups, (25, 33), block=4096)
+    a = build_panel(net, sched, tags, groups, (25, 33))
+    # a one-path budget gives every player with a two-hop path its own block
+    monkeypatch.setattr(panel_mod, "_SD_PATH_BUDGET", 1)
+    b = build_panel(net, sched, tags, groups, (25, 33))
     for name in a.columns:
         assert np.array_equal(a.columns[name], b.columns[name]), name
 
@@ -516,17 +521,21 @@ def sd_pairs_oracle(net, sample_idx, keep):
     return {rk: (w2, direct.get(rk, int(NEVER))) for rk, w2 in found.items()}
 
 
-def run_sd_pairs(net, sample_idx, masks, **kw):
+def run_sd_pairs(net, sample_idx, masks):
+    """Per mask, the (row, k, w2, f_direct) lists joined over all blocks."""
     rows, pos = net.entries(sample_idx)
     j, f = net.nbr[pos], net.formed[pos]
     masks = [m if m is None else m(j, f) for m in masks]
-    return [tuple(a.tolist() for a in out)
-            for out in _sd_pairs(net, rows, j, f, sample_idx, masks, **kw)]
+    out = [([], [], [], []) for _ in masks]
+    for v, *arrays in _sd_pairs(net, rows, j, f, sample_idx, masks):
+        for joined, a in zip(out[v], arrays):
+            joined.extend(a.tolist())
+    return out
 
 
-def test_sd_pairs_one_pass_matches_path_scan_in_any_chunking():
-    # chunk_paths=1 cuts the expansion into one chunk per level-1 edge; all
-    # chunks meet in the one sort, so the arrays must not change.
+def test_sd_pairs_one_pass_matches_path_scan_in_any_chunking(monkeypatch):
+    # A one-path budget gives every row its own block and 37 paths gives a
+    # few rows each; the blocks come in row order, so the pairs must not change.
     rng = np.random.default_rng(17)
     net = build_network(random_edges(rng, 60, 300, max_week=40))
     kp = np.zeros(net.n_nodes, dtype=bool)
@@ -534,8 +543,9 @@ def test_sd_pairs_one_pass_matches_path_scan_in_any_chunking():
     sample_idx = np.sort(rng.choice(net.n_nodes, 15, replace=False))
     masks = (None, lambda j, f: kp[j], lambda j, f: f <= 15)
     default = run_sd_pairs(net, sample_idx, masks)
-    assert run_sd_pairs(net, sample_idx, masks, chunk_paths=1) == default
-    assert run_sd_pairs(net, sample_idx, masks, chunk_paths=37) == default
+    for budget in (1, 37):
+        monkeypatch.setattr(panel_mod, "_SD_PATH_BUDGET", budget)
+        assert run_sd_pairs(net, sample_idx, masks) == default, budget
     keeps = (lambda i, j, f: True, lambda i, j, f: kp[j], lambda i, j, f: f <= 15)
     for (row, k, w2, fdir), keep in zip(default, keeps):
         want = sd_pairs_oracle(net, sample_idx, keep)
@@ -562,13 +572,45 @@ def test_sd_key_budget_at_steam_scale():
     def widest_key(rows, max_week):
         return (((rows * n - 1) << max_week.bit_length() | max_week) << 3) | 7
 
-    assert _sd_block_rows(4096, n, 2_900) == 4096
-    assert widest_key(4096, 2_900) < 2**63
-    rows = _sd_block_rows(4096, n, 2**31 - 2)
+    rows = _sd_block_rows(n, 2_900)
+    assert rows >= 4096
+    assert widest_key(rows, 2_900) < 2**63 <= widest_key(rows + 1, 2_900)
+    rows = _sd_block_rows(n, 2**31 - 2)
     assert rows == 4
     assert widest_key(rows, 2**31 - 2) < 2**63 <= widest_key(rows + 1, 2**31 - 2)
     with pytest.raises(InvalidParameterError, match="63-bit"):
-        _sd_block_rows(4096, 2**30, 2**31 - 2)
+        _sd_block_rows(2**30, 2**31 - 2)
+
+
+def test_sd_row_over_path_budget_is_a_block_of_its_own(monkeypatch):
+    monkeypatch.setattr(panel_mod, "_SD_PATH_BUDGET", 10)
+    paths = np.array([3, 4, 25, 2, 8, 0, 11, 1])
+    assert list(_sd_blocks(paths, cap=100)) == [(0, 2), (2, 3), (3, 6), (6, 7), (7, 8)]
+    # the 63-bit row cap splits a block that the budget would allow
+    assert list(_sd_blocks(paths, cap=2)) == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7),
+                                               (7, 8)]
+
+
+@pytest.mark.parametrize("budget", [1, 37, 500, 8_000_000])
+def test_sd_multi_row_blocks_stay_within_path_budget(budget, monkeypatch):
+    monkeypatch.setattr(panel_mod, "_SD_PATH_BUDGET", budget)
+    rng = np.random.default_rng(23)
+    net = build_network(random_edges(rng, 80, 400, max_week=20))
+    sample_idx = np.sort(rng.choice(net.n_nodes, 40, replace=False))
+    paths = net.friend_sum(net.degrees())[sample_idx].astype(np.int64)
+    # the count is the expansion's size: one path per friend-of-friend entry
+    for i, count in zip(sample_idx, paths):
+        assert net.entries(net.nbr[net.indptr[i]:net.indptr[i + 1]])[0].size == count
+    blocks = list(_sd_blocks(paths, cap=6))
+    assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+    assert blocks[-1][1] == paths.size
+    for start, stop in blocks:
+        assert 1 <= stop - start <= 6
+        if stop - start > 1:
+            assert paths[start:stop].sum() <= budget
+        # blocks are greedy: the next row would break the budget or the cap
+        if stop < paths.size and stop - start < 6:
+            assert paths[start:stop + 1].sum() > budget
 
 
 # ---------------------------------------------------------------------------
