@@ -85,10 +85,6 @@ class RunConfig:
     seed: int = 0
 
 
-_PATH_FIELDS = ("edges", "achievements", "playtime", "covariates",
-                "node_filter", "panel")
-
-
 def _bool(text: str) -> bool:
     return {"true": True, "1": True, "yes": True, "on": True,
             "false": False, "0": False, "no": False, "off": False}[text.lower()]
@@ -102,13 +98,8 @@ _FIELD_KINDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` pairs; blank lines and ``#`` comments ignored."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    bad_line = fileio._first_undecodable_line(path)
-    if bad_line is not None:
-        raise ConfigError(f"{path}:{bad_line}: not UTF-8 text")
     raw = {}
-    with fileio._open_read(path) as fh:
+    with fileio._open_read(path, config=True) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -145,24 +136,13 @@ def _require(cfg: RunConfig, *names: str):
     for name in names:
         if getattr(cfg, name) is None:
             raise ConfigError(f"{name} is required (set it in the config or as a flag)")
-    for name in names:
-        if name in _PATH_FIELDS and not os.path.isfile(getattr(cfg, name)):
-            raise ConfigError(f"{name}: no such file: {getattr(cfg, name)}")
-
-
-def _optional_path(cfg: RunConfig, name: str):
-    value = getattr(cfg, name)
-    if value is not None and not os.path.isfile(value):
-        raise ConfigError(f"{name}: no such file: {value}")
-    return value
 
 
 def _load_network(cfg: RunConfig):
     _require(cfg, "edges")
     triple = fileio.read_edges_csv(cfg.edges, epoch_unix=cfg.epoch_unix)
-    node_filter = None
-    if _optional_path(cfg, "node_filter"):
-        node_filter = fileio.read_node_filter_csv(cfg.node_filter)
+    node_filter = (None if cfg.node_filter is None
+                   else fileio.read_node_filter_csv(cfg.node_filter))
     return build_network(triple, node_filter=node_filter)
 
 

@@ -1,11 +1,13 @@
 """CSV / JSON ingestion and emission for every pipeline artifact.
 
-Every CSV table is read by ``_read_table`` (one structured ``loadtxt``)
-and written by ``_write_table``; only the estimates writer (report
-precision) differs.  All writers are atomic (temp file in the target
-directory + rename), so a killed run never leaves a partial file at the
-final path.  Paths ending in ``.gz`` are transparently gzip-compressed
-where the format allows it.
+Every input file -- CSV tables, the node filter, the panel's JSON sidecar
+and the ``--config`` file -- is opened by ``_open_read``, the one place that
+decodes input and maps its failures to errors naming the path.  Every CSV
+table is read by ``_read_table`` (one structured ``loadtxt``) and written
+by ``_write_table``; only the estimates writer (report precision) differs.
+All writers are atomic (temp file in the target directory + rename), so a
+killed run never leaves a partial file at the final path.  Paths ending in
+``.gz`` are transparently gzip-compressed where the format allows it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import re
 import tempfile
 import warnings
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -56,11 +59,34 @@ def atomic_write(path):
         raise
 
 
-def _open_read(path):
+@contextmanager
+def _open_read(path, config: bool = False):
+    """Read ``path`` as UTF-8 text (gzip when it ends in ``.gz``); a leading
+    byte-order mark is dropped.  A path that cannot be opened (missing, a
+    directory) is a :class:`ConfigError`.  Bytes that are not UTF-8 (with
+    their file line) and a ``.gz`` that is not gzip, is truncated or fails
+    its CRC are a :class:`ParseError`, or a ``path:line:`` ConfigError for a
+    ``config`` file."""
     path = os.fspath(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+    try:
+        fh = (gzip.open if path.endswith(".gz") else open)(
+            path, "rt", encoding="utf-8-sig", newline="")
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror.lower()}") from None
+
+    def fail(what, line=None):
+        if not config:
+            return ParseError(f"{path}: {what}", line)
+        return ConfigError(f"{path}:{line}: {what}" if line else f"{path}: {what}")
+
+    try:  # the outer handler also covers damage met by the line scan
+        try:
+            with fh:
+                yield fh
+        except UnicodeDecodeError as err:
+            raise fail(f"not UTF-8 text ({err.reason})", _first_undecodable_line(path)) from None
+    except (gzip.BadGzipFile, EOFError, zlib.error) as err:
+        raise fail(f"not valid gzip data ({err})") from None
 
 
 def _first_undecodable_line(path) -> int | None:
@@ -121,16 +147,9 @@ def _read_table(path, header, kinds):
     an ordinary character; every other row must have one field per header
     name, each of its kind (``_ID``, ``_INT``, ``_FLOAT``, ``_TEXT`` or a
     kind of the same shape).  On a bad row, one ``csv`` scan raises
-    :class:`ParseError` with its file line; so does text that is not UTF-8.
+    :class:`ParseError` with its file line; undecodable bytes and a damaged
+    ``.gz`` fail in ``_open_read``.
     """
-    try:
-        return _parse_table(path, header, kinds)
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not UTF-8 text ({err.reason})",
-                         _first_undecodable_line(path)) from None
-
-
-def _parse_table(path, header, kinds):
     dtype = [(name, kind[3]) for name, kind in zip(header, kinds)]
     with _open_read(path) as fh:
         got = next(csv.reader(fh), None)
@@ -274,28 +293,23 @@ _PANEL_HEADER = ("player", "week", *PANEL_COLUMNS)
 _PANEL_KINDS = (_INT, _INT, *(_FLOAT,) * len(PANEL_COLUMNS))
 
 
-def write_panel_csv(path, panel, meta_path=None):
-    """Write a panel to CSV plus a JSON metadata sidecar.
+def write_panel_csv(path, panel):
+    """Write a panel to CSV plus its JSON metadata sidecar ``<path>.meta.json``.
 
     Header: ``player,week,y,x_friend,z_sd_lag,x_kp,x_of,z_kp_lag,z_of_lag``
     (the two trailing columns carry the heterogeneity instruments).
     """
     _write_table(path, _PANEL_HEADER,
                  (panel.player, panel.week, *(panel.column(c) for c in PANEL_COLUMNS)))
-    if meta_path is None:
-        meta_path = os.fspath(path) + ".meta.json"
-    write_json(meta_path, panel.meta)
+    write_json(os.fspath(path) + ".meta.json", panel.meta)
 
 
-def read_panel_csv(path, meta_path=None):
-    """Load a panel written by :func:`write_panel_csv`; returns (columns, meta)."""
+def read_panel_csv(path):
+    """Load a panel written by :func:`write_panel_csv`; returns (columns, meta).
+    A missing sidecar (or a directory in its place) reads as ``{}``."""
     columns = dict(zip(_PANEL_HEADER, _read_table(path, _PANEL_HEADER, _PANEL_KINDS)))
-    if meta_path is None:
-        candidate = os.fspath(path) + ".meta.json"
-        meta = read_json(candidate) if os.path.isfile(candidate) else {}
-    else:
-        meta = read_json(meta_path)
-    return columns, meta
+    sidecar = os.fspath(path) + ".meta.json"
+    return columns, read_json(sidecar) if os.path.isfile(sidecar) else {}
 
 
 def write_json(path, obj):
@@ -317,11 +331,8 @@ def _json_default(obj):
 def read_json(path):
     """Load a UTF-8 JSON file; malformed bytes or JSON are a :class:`ParseError`."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_read(path) as fh:
             return json.load(fh)
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not UTF-8 text ({err.reason})",
-                         _first_undecodable_line(path)) from None
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: not valid JSON ({err.msg})", err.lineno) from None
 

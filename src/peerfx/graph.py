@@ -184,7 +184,7 @@ def as_columns(records, dtypes) -> tuple[np.ndarray, ...]:
 
 def build_network(
     edges: Iterable[tuple[int, int, int]] | tuple,
-    node_filter: Callable[[np.ndarray], np.ndarray] | Iterable[int] | None = None,
+    node_filter: Iterable[int] | None = None,
     nodes: Sequence[int] | None = None,
     max_degree: int = DEFAULT_DEGREE_CAP,
 ) -> TemporalNetwork:
@@ -198,10 +198,9 @@ def build_network(
         ``diagnostics`` (not fatal).  Weeks must lie in [0, NEVER), i.e.
         below 2**31 - 1, so a far-future or microsecond timestamp is an
         error rather than a wrapped int32.
-    node_filter : callable, collection of ids, or None
-        Either a vectorized predicate ``ids -> bool array`` or the ids to
-        keep (an array, a set, ...).  Nodes failing the filter are removed
-        with all incident edges.  Zero-edge nodes are NOT dropped
+    node_filter : collection of ids, or None
+        The ids to keep (an array, a set, a list, ...).  Other nodes are
+        removed with all incident edges.  Zero-edge nodes are NOT dropped
         (friendless players stay).
     nodes : sequence of int, optional
         Explicit node universe.  When given, edges touching ids outside it
@@ -237,10 +236,7 @@ def build_network(
         raise InvalidParameterError("player ids must be non-negative")
 
     if node_filter is not None:
-        if callable(node_filter):
-            keep_mask = np.asarray(node_filter(universe), dtype=bool)
-        else:
-            keep_mask = _lookup(np.unique(np.fromiter(node_filter, np.int64)), universe)[1]
+        keep_mask = _lookup(np.unique(np.fromiter(node_filter, np.int64)), universe)[1]
         diagnostics["filtered_nodes"] = int((~keep_mask).sum())
         universe = universe[keep_mask]
 

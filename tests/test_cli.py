@@ -106,7 +106,8 @@ def test_missing_required_key_is_exit_2(capsys):
 def test_missing_input_file_is_exit_2(tmp_path, capsys):
     assert main(["series", "--achievements", str(tmp_path / "nope.csv"),
                  "--window-start", "0", "--window-end", "5"]) == 2
-    assert "no such file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no such file" in err and str(tmp_path / "nope.csv") in err
 
 
 def test_pipeline_error_is_exit_1(sim_dir, tmp_path, capsys):
@@ -426,6 +427,49 @@ def test_non_utf8_config_is_exit_2_with_line(tmp_path, capsys):
     assert main(["series", "--config", str(cfg_file)]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "run.cfg:2" in err and "UTF-8" in err
+
+
+def _damaged_gzip(raw: bytes, damage: str) -> bytes:
+    packed = gzip.compress(raw)
+    if damage == "not_gzip":
+        return raw
+    if damage == "truncated":
+        return packed[:20]
+    crc = bytes(byte ^ 0xFF for byte in packed[-8:-4])  # the CRC-32 trailer
+    return packed[:-8] + crc + packed[-4:]
+
+
+@pytest.mark.parametrize("damage", ["not_gzip", "truncated", "bad_crc"])
+@pytest.mark.parametrize("kind, code", [("input", 1), ("config", 2)])
+def test_damaged_gzip_is_an_error_naming_the_file(tmp_path, capsys, kind, code, damage):
+    if kind == "input":
+        path = tmp_path / "achievements.csv.gz"
+        path.write_bytes(_damaged_gzip(b"player_id,game,unlocked_unix\n1,SMB,0\n", damage))
+        argv = ["series", "--achievements", str(path), "--out",
+                str(tmp_path / "series.csv"), "--window-start", "0", "--window-end", "5"]
+    else:
+        path = tmp_path / "run.cfg.gz"
+        path.write_bytes(_damaged_gzip(b"game = SMB\nseed = 3\n", damage))
+        argv = ["series", "--config", str(path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert str(path) in err and "gzip" in err
+    assert ("config error:" if kind == "config" else "error (ParseError):") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("marked", ["input", "config"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, marked):
+    bom = b"\xef\xbb\xbf"
+    data, cfg_file = tmp_path / "achievements.csv", tmp_path / "run.cfg"
+    data.write_bytes((bom if marked == "input" else b"")
+                     + b"player_id,game,unlocked_unix\n7,SMB,604800\n")
+    cfg_file.write_bytes((bom if marked == "config" else b"")
+                         + b"window_start = 0\nwindow_end = 2\n")
+    out = tmp_path / "series.csv"
+    assert main(["series", "--config", str(cfg_file), "--achievements", str(data),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == "week,purchases\n0,0\n1,1\n2,0\n"
 
 
 @pytest.mark.parametrize("flag", ["--config", "--achievements", "--node-filter"])

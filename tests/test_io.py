@@ -204,6 +204,15 @@ def test_wrong_field_count_is_parse_error_with_line(tmp_path, reader, cut):
     read(path)  # the blank row alone is fine
 
 
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_leading_byte_order_mark_is_dropped(tmp_path, reader):
+    read, header, row = READERS[reader]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(f"{header}\n{row}\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert repr(read(marked)) == repr(read(plain))
+
+
 # Python's int() reads these; int64 and the table reader do not
 @pytest.mark.parametrize("reader", sorted(READERS))
 @pytest.mark.parametrize("cell", ["1_000", "99999999999999999999", "\u0663"],
@@ -298,6 +307,12 @@ def test_read_json_malformed_is_parse_error_with_path(tmp_path, raw, line):
         fileio.read_json(path)
     assert err.value.line == line
     assert str(path) in str(err.value)
+
+
+def test_read_json_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'\xef\xbb\xbf{"game": "SMB"}\n')
+    assert fileio.read_json(path) == {"game": "SMB"}
 
 
 def test_series_and_scores_formats(tmp_path):
