@@ -6,7 +6,8 @@ atomically, so a killed run never leaves a half-written file at the final
 path, and a fixed seed gives byte-identical files across runs.
 
 Exit codes: 0 success, 1 toolkit/estimation failure (the error class name is
-part of the message), 2 configuration problems.
+part of the message), 2 configuration problems, a setting outside its
+documented values included.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator, fileio, report
-from .errors import ConfigError, PeerEffectsError
+from .errors import ConfigError, InvalidParameterError, PeerEffectsError
 from .graph import build_network, katz_centrality, tag_peers
 from .panel import (PanelConfig, PanelDataset, assign_groups,
                     build_panel, build_playtime_crosssection, derive_schedule)
@@ -174,10 +175,15 @@ def _tag_network(cfg: RunConfig, net):
 
 
 def _from_run_config(cls, cfg: RunConfig, **explicit):
-    """``cls(...)`` from the RunConfig fields it shares by name, then ``explicit``."""
+    """``cls(...)`` from the RunConfig fields it shares by name, then
+    ``explicit``; a setting ``cls`` rejects is a ConfigError.  Commands call
+    it before they read any input."""
     shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)
               if f.name in _FIELD_KINDS}
-    return cls(**{**shared, **explicit})
+    try:
+        return cls(**{**shared, **explicit})
+    except InvalidParameterError as err:
+        raise ConfigError(str(err)) from None
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -222,6 +228,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_build_panel(cfg: RunConfig) -> int:
     _require(cfg, "edges", "achievements", "window_start", "window_end")
+    panel_cfg = _from_run_config(PanelConfig, cfg)
     net = _load_network(cfg)
     events = fileio.read_achievements_csv(cfg.achievements)
     schedule = derive_schedule(events, cfg.game, epoch_unix=cfg.epoch_unix)
@@ -229,34 +236,25 @@ def cmd_build_panel(cfg: RunConfig) -> int:
     groups = assign_groups(net, schedule, cfg.n_per_group, cfg.seed,
                            horizon_week=cfg.window_end)
     panel = build_panel(net, schedule, tags, groups,
-                        (cfg.window_start, cfg.window_end),
-                        _from_run_config(PanelConfig, cfg))
+                        (cfg.window_start, cfg.window_end), panel_cfg)
     out = cfg.out or "panel.csv"
     fileio.write_panel_csv(out, panel)
     print(f"wrote {out} ({panel.n_rows} rows) and {out}.meta.json")
     return 0
 
 
-def _estimate_specs():
-    ols = estimator.DesignSpec(outcome="y", endog=("x_friend",))
-    rf = estimator.DesignSpec(outcome="y", exog=("z_sd_lag",))
-    iv = estimator.DesignSpec(outcome="y", endog=("x_friend",),
-                              instruments=("z_sd_lag",))
-    return ols, rf, iv
-
-
 def cmd_estimate(cfg: RunConfig) -> int:
     panel = _load_panel(cfg)
-    ols_spec, rf_spec, iv_spec = _estimate_specs()
-    ols = estimator.ols_fit(panel, ols_spec, threads=cfg.threads)
-    rf = estimator.ols_fit(panel, rf_spec, threads=cfg.threads)
-    iv = estimator.tsls_fit(panel, iv_spec, threads=cfg.threads)
-    text = report.main_report(ols, rf, iv)
+    ols = estimator.ols_fit(panel, estimator.DesignSpec(outcome="y", endog=("x_friend",)),
+                            threads=cfg.threads)
+    iv = estimator.tsls_fit(panel, estimator.DesignSpec(
+        outcome="y", endog=("x_friend",), instruments=("z_sd_lag",)), threads=cfg.threads)
+    text = report.main_report(ols, iv)
     out = cfg.out or "."
     fileio.write_text(os.path.join(out, "report.txt"), text)
-    fs = iv.first_stage if not isinstance(iv.first_stage, tuple) else iv.first_stage[0]
     rows = report.estimates_csv_rows(
-        [("ols", ols), ("reduced_form", rf), ("first_stage", fs), ("2sls", iv)],
+        [("ols", ols), ("reduced_form", iv.reduced_form),
+         ("first_stage", iv.first_stage[0]), ("2sls", iv)],
         anderson_rubin=iv.ar_stat)
     fileio.write_estimates_csv(os.path.join(out, "estimates.csv"), rows)
     sys.stdout.write(text)
@@ -266,9 +264,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_heterogeneity(cfg: RunConfig) -> int:
-    panel = _load_panel(cfg)
     if cfg.method not in ("2sls", "ols"):
         raise ConfigError(f"method must be 2sls or ols, got {cfg.method!r}")
+    panel = _load_panel(cfg)
     ols = estimator.heterogeneity_fit(panel, method="ols", threads=cfg.threads)
     named = [("ols", ols)]
     if cfg.method == "2sls":

@@ -8,9 +8,11 @@ is tiny, the row count is huge) solved by numpy; a singular-value screen
 proves most systems full rank, and only one that fails it is handed to
 scipy's pivoted QR, which decides the rank and names the collinear columns.
 So a fit imports numpy alone unless its design is (nearly) collinear.
-Covariance is the CR1 cluster sandwich.  2SLS is just-identified only:
-beta = (Z'X)^-1 Z'y after demeaning, which keeps the reduced-form /
-first-stage ratio identity exact.
+Covariance is the CR1 cluster sandwich.  One engine fits both models on
+(regressor, instrument) pairs: each endogenous column pairs with its
+instrument, each exogenous column with itself, so OLS is 2SLS with Z = X.
+2SLS is just-identified only: beta = (Z'X)^-1 Z'y after demeaning, which
+keeps the reduced-form / first-stage ratio identity exact.
 
 Cross products accumulate over fixed-size row blocks reduced in a fixed
 order, so results are bit-identical no matter how many threads compute the
@@ -114,9 +116,10 @@ def within_transform(panel, columns: Sequence[str],
     One dimension is one group demeaning.  Two-way demeans by player, solves
     the W x W week system (over weeks whatever the order of ``fe_dims``) by
     ``lstsq``, exact also for disconnected panels, and subtracts the
-    player-demeaned week effects.  A PanelDataset keeps the system and each
-    result while ``panel.column(name)`` is the same array object, so replace
-    a column rather than write into it.  The returned columns are copies.
+    player-demeaned week effects.  A PanelDataset keeps the system while
+    ``panel.player``/``panel.week`` are the same array objects, and each
+    result while ``panel.column(name)`` also is, so replace a column rather
+    than write into it.  The returned columns are copies.
     """
     bad = [d for d in fe_dims if d not in ("player", "week")]
     if bad:
@@ -124,16 +127,19 @@ def within_transform(panel, columns: Sequence[str],
     dims = tuple(sorted(set(fe_dims)))
     if not dims:
         return WithinResult({name: _get_col(panel, name).copy() for name in columns}, 0)
+    keys = tuple(_raw_col(panel, d) for d in dims)
     memo = getattr(panel, "_within", {})
-    if dims not in memo:
-        memo[dims] = _fe_system(panel, dims)
+    hit = memo.get(dims)
+    if hit is None or any(a is not b for a, b in zip(hit[0], keys)):
+        hit = memo[dims] = (keys, _fe_system(panel, dims), {})
+    _, system, done = hit
     data = {}
     for name in columns:
         src = _raw_col(panel, name)
-        hit = memo.get((name, dims))
-        if hit is None or hit[0] is not src:
-            hit = memo[(name, dims)] = (src, _demean(_get_col(panel, name), *memo[dims]))
-        data[name] = hit[1].copy()
+        col = done.get(name)
+        if col is None or col[0] is not src:
+            col = done[name] = (src, _demean(_get_col(panel, name), *system))
+        data[name] = col[1].copy()
     return WithinResult(data, 1)
 
 
@@ -180,10 +186,12 @@ class FitResult:
     """Named coefficients with cluster-robust covariance and diagnostics.
 
     ``n_singletons`` counts singleton clusters (kept — they contribute no
-    within variation but preserve the balanced row count).  ``ar_stat`` is
-    the cluster-robust reduced-form Wald statistic (set on IV fits);
-    ``first_stage`` nests the first-stage fit(s).  ``dropped`` lists columns
-    removed for having no variation after the within transform.
+    within variation but preserve the balanced row count).  On 2SLS fits
+    ``first_stage`` holds one first-stage fit per kept endogenous column,
+    and with one endogenous column ``reduced_form`` is the reduced-form fit
+    and ``ar_stat`` its cluster-robust instrument Wald statistic.
+    ``dropped`` lists columns removed for having no variation after the
+    within transform.
     """
 
     terms: tuple
@@ -196,7 +204,8 @@ class FitResult:
     cluster: str | None
     model: str = "ols"
     ar_stat: float | None = None
-    first_stage: "FitResult | tuple | None" = None
+    first_stage: tuple = ()
+    reduced_form: "FitResult | None" = None
     dropped: tuple = ()
     stats: dict = field(default_factory=dict)
 
@@ -246,17 +255,6 @@ class FitResult:
             stat = float(self.coef[i] / se) if se > 0 else None
             rows.append((prefix + term, float(self.coef[i]), se, stat))
         return rows
-
-
-def _drop_degenerate(names, transformed, originals):
-    """Names of columns with no variation left after the transform."""
-    dropped = []
-    for name in names:
-        col = transformed[name]
-        scale = max(1.0, float(np.abs(originals[name]).max()) if originals[name].size else 0.0)
-        if col.size == 0 or float(np.abs(col).max()) <= _DEGENERATE_RTOL * scale:
-            dropped.append(name)
-    return dropped
 
 
 def _solve_pivoted(A: np.ndarray, b: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -315,11 +313,18 @@ def clustered_vcov(residuals: np.ndarray, X: np.ndarray, clusters,
                          codes.astype(np.int64), uniq.size, threads)
 
 
-def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads,
-              model: str) -> FitResult:
-    """Shared OLS/2SLS engine on within-transformed columns."""
-    need = [spec.outcome, *dict.fromkeys((*x_names, *z_names))]
-    originals = {name: _get_col(panel, name) for name in need}
+def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
+    """OLS and 2SLS on within-transformed (regressor, instrument) pairs.
+
+    Endogenous columns pair with ``spec.instruments``; exogenous columns,
+    and every regressor of a spec without instruments, pair with themselves,
+    so OLS is the case ``Z is X``.  A pair with a flat side is dropped, and
+    ``dropped`` names the regressor if it is flat, else its instrument.
+    """
+    pairs = [*zip(spec.endog, spec.instruments or spec.endog),
+             *((e, e) for e in spec.exog)]
+    names = list(dict.fromkeys(c for pair in pairs for c in pair))
+    originals = {name: _get_col(panel, name) for name in (spec.outcome, *names)}
     n = originals[spec.outcome].size
     for name, col in originals.items():
         if col.size != n:
@@ -328,45 +333,28 @@ def _fit_core(panel, spec: DesignSpec, x_names, z_names, threads,
         raise InvalidParameterError("empty panel")
 
     add_const = not spec.fixed_effects
-    data = within_transform(panel, need, spec.fixed_effects).columns
+    data = within_transform(panel, list(originals), spec.fixed_effects).columns
     # no absorbed intercept: include one and test variation around it
     varied = {k: v - v.mean() for k, v in data.items()} if add_const else data
-    degenerate = _drop_degenerate(x_names, varied, originals)
-    z_degenerate = _drop_degenerate(z_names, varied, originals)
+    # flat: nothing left above _DEGENERATE_RTOL of the column's own scale
+    flat = {c for c in names if np.abs(varied[c]).max()
+            <= _DEGENERATE_RTOL * max(1.0, np.abs(originals[c]).max())}
+    kept = [(x, z) for x, z in pairs if x not in flat and z not in flat]
+    dropped = [x if x in flat else z for x, z in pairs if x in flat or z in flat]
+    if not kept and not add_const:
+        raise RankDeficientError(tuple(x for x, _ in pairs))
 
-    dropped = []
-    if z_names:
-        # drop endogenous/instrument PAIRS: either side degenerate kills both
-        keep_pairs = [(x, z) for x, z in zip(spec.endog, spec.instruments)
-                      if x not in degenerate and z not in z_degenerate]
-        dropped += [x for x in spec.endog if x in degenerate]
-        dropped += [z for z, x in zip(spec.instruments, spec.endog)
-                    if z in z_degenerate and x not in degenerate]
-        exog_kept = [e for e in spec.exog if e not in degenerate]
-        dropped += [e for e in spec.exog if e in degenerate]
-        x_kept = [x for x, _ in keep_pairs] + exog_kept
-        z_kept = [z for _, z in keep_pairs] + exog_kept
-        if not keep_pairs:
-            raise RankDeficientError(tuple(spec.endog))
-    else:
-        x_kept = [x for x in x_names if x not in degenerate]
-        dropped += [x for x in x_names if x in degenerate]
-        z_kept = []
-        if not x_kept and not add_const:
-            raise RankDeficientError(tuple(x_names))
+    def design(cols):
+        return np.column_stack([*(data[c] for c in cols),
+                                *([np.ones(n)] if add_const else [])])
 
-    terms = list(x_kept)
-    X = np.column_stack([data[c] for c in terms]) if terms else np.empty((n, 0))
-    if add_const:
-        terms.append("const")
-        X = np.column_stack([X, np.ones(n)])
-    Z = np.column_stack([data[c] for c in z_kept]) if z_kept else X
-    if add_const and z_kept:
-        Z = np.column_stack([Z, np.ones(n)])
+    terms = [x for x, _ in kept] + (["const"] if add_const else [])
+    X = design([x for x, _ in kept])
+    Z = design([z for _, z in kept]) if spec.instruments else X
     y = data[spec.outcome]
 
     ZtX = _crossprod(Z, X, threads=threads)
-    if z_kept:
+    if Z is not X:
         # numerically-zero det on the angle-normalized matrix => unidentified
         dz = np.sqrt(np.einsum("ij,ij->j", Z, Z))
         dx = np.sqrt(np.einsum("ij,ij->j", X, X))
@@ -397,45 +385,61 @@ def ols_fit(panel, spec: DesignSpec, threads: int = 1) -> FitResult:
     """Within-transformed OLS with CR1 clustered (or HC1) covariance."""
     if spec.instruments:
         raise InvalidParameterError("ols_fit takes a spec without instruments")
-    x_names = (*spec.endog, *spec.exog)
-    return _fit_core(panel, spec, x_names, (), threads, "ols")
+    return _fit_core(panel, spec, threads, "ols")
 
 
-def _first_stage(panel, spec: DesignSpec, x: str, z: str, threads: int) -> FitResult:
-    """OLS of endogenous ``x`` on every instrument, with the Wald stat of ``z``."""
-    fs = ols_fit(panel, DesignSpec(outcome=x, exog=(*spec.instruments, *spec.exog),
-                                   fixed_effects=spec.fixed_effects,
-                                   cluster=spec.cluster), threads=threads)
-    fs.model = "first_stage"
-    se = fs.se_of(z)
-    fs.stats["instrument_wald"] = (fs.coef_of(z) / se) ** 2 if se > 0 else float("inf")
-    return fs
+def _wald(fit: FitResult, term: str) -> float:
+    """Squared t of ``term``; inf when its standard error is zero."""
+    se = fit.se_of(term)
+    return float((fit.coef_of(term) / se) ** 2) if se > 0 else float("inf")
+
+
+def _on_instruments(panel, spec: DesignSpec, outcome: str, z: str, model: str,
+                    threads: int) -> FitResult:
+    """OLS of ``outcome`` on every instrument and exogenous column of
+    ``spec``, with the Wald statistic of instrument ``z``: a first stage
+    when ``outcome`` is endogenous, the reduced form when it is the outcome."""
+    fit = ols_fit(panel, DesignSpec(outcome=outcome, exog=(*spec.instruments, *spec.exog),
+                                    fixed_effects=spec.fixed_effects,
+                                    cluster=spec.cluster), threads=threads)
+    fit.model = model
+    fit.stats["instrument_wald"] = _wald(fit, z)
+    return fit
 
 
 def tsls_fit(panel, spec: DesignSpec, threads: int = 1) -> FitResult:
     """Just-identified 2SLS: beta = (Z'X)^-1 Z'y on within-transformed data.
 
-    The first-stage fit (one per endogenous column) is attached, as is the
-    Anderson-Rubin statistic for the single-instrument case.  Residuals for
-    the sandwich are structural (y - X beta), scores are instrument-side.
+    Each endogenous column pairs with its instrument and each exogenous
+    column with itself; a pair with a flat side is dropped (see
+    ``_fit_core``), and a fit that keeps no endogenous column is rank
+    deficient.  ``first_stage`` is a tuple with one fit per kept endogenous
+    column.  With one endogenous column the reduced form is fitted once and
+    attached as ``reduced_form``; ``ar_stat`` is its instrument Wald, the
+    Anderson-Rubin statistic.  Residuals for the sandwich are structural
+    (y - X beta), scores are instrument-side.
     """
     if not spec.instruments:
         raise InvalidParameterError("tsls_fit needs instruments")
-    x_names = (*spec.endog, *spec.exog)
     try:
-        result = _fit_core(panel, spec, x_names, spec.instruments, threads, "2sls")
+        result = _fit_core(panel, spec, threads, "2sls")
     except WeakIdentificationError as err:
-        if err.first_stage_stat is None and len(spec.endog) == 1:
-            fs = _first_stage(panel, spec, spec.endog[0], spec.instruments[0], threads)
-            raise WeakIdentificationError(
-                str(err), first_stage_stat=fs.stats["instrument_wald"]) from err
-        raise
-    stages = [_first_stage(panel, spec, x, z, threads)
-              for x, z in zip(spec.endog, spec.instruments) if x not in result.dropped]
-    result.first_stage = stages[0] if len(stages) == 1 else tuple(stages)
-    if len(spec.endog) == 1 and len(stages) == 1:
-        result.ar_stat = anderson_rubin(panel, spec, threads=threads)
-        result.stats["first_stage_wald"] = stages[0].stats["instrument_wald"]
+        if len(spec.endog) != 1:
+            raise
+        fs = _on_instruments(panel, spec, spec.endog[0], spec.instruments[0],
+                             "first_stage", threads)
+        raise WeakIdentificationError(
+            str(err), first_stage_stat=fs.stats["instrument_wald"]) from err
+    result.first_stage = tuple(
+        _on_instruments(panel, spec, x, z, "first_stage", threads)
+        for x, z in zip(spec.endog, spec.instruments) if x in result.terms)
+    if not result.first_stage:
+        raise RankDeficientError(spec.endog)
+    if len(spec.endog) == 1:
+        result.reduced_form = _on_instruments(panel, spec, spec.outcome,
+                                              spec.instruments[0], "reduced_form", threads)
+        result.ar_stat = result.reduced_form.stats["instrument_wald"]
+        result.stats["first_stage_wald"] = result.first_stage[0].stats["instrument_wald"]
     return result
 
 
@@ -443,20 +447,16 @@ def anderson_rubin(panel, spec: DesignSpec, threads: int = 1) -> float:
     """Cluster-robust Wald statistic on the instrument in the reduced form.
 
     AR = (delta_RF / se_cluster(delta_RF))^2 from regressing the outcome on
-    the (within-transformed) instrument plus exogenous columns.  In the
-    just-identified case this equals the Anderson-Rubin test of a zero
-    structural coefficient and stays valid under weak instruments.
+    the (within-transformed) instrument plus exogenous columns, the same fit
+    ``tsls_fit`` attaches as ``reduced_form``.  In the just-identified case
+    this equals the Anderson-Rubin test of a zero structural coefficient and
+    stays valid under weak instruments.
     """
     if len(spec.instruments) != 1 or len(spec.endog) != 1:
         raise InvalidParameterError("anderson_rubin needs a single-instrument spec")
-    z = spec.instruments[0]
-    rf_spec = DesignSpec(outcome=spec.outcome, exog=(z, *spec.exog),
-                         fixed_effects=spec.fixed_effects, cluster=spec.cluster)
-    rf = ols_fit(panel, rf_spec, threads=threads)
-    se = rf.se_of(z)
-    if se == 0:
-        return float("inf")
-    return float((rf.coef_of(z) / se) ** 2)
+    rf = _on_instruments(panel, spec, spec.outcome, spec.instruments[0],
+                         "reduced_form", threads)
+    return rf.stats["instrument_wald"]
 
 
 def heterogeneity_fit(panel, method: str = "2sls", threads: int = 1) -> FitResult:

@@ -212,11 +212,14 @@ class PanelDataset:
             raise InvalidParameterError(f"panel has no column {name!r}") from None
 
     def codes(self, dim: str) -> np.ndarray:
-        """Dense 0..G-1 group codes for 'player' or 'week' rows."""
-        if dim not in self._codes:
-            _, inv = np.unique(self.column(dim), return_inverse=True)
-            self._codes[dim] = inv.astype(np.int64)
-        return self._codes[dim]
+        """Dense 0..G-1 group codes of a column, e.g. 'player' or 'week'.
+        Kept while ``column(dim)`` is the same array object."""
+        col = self.column(dim)
+        hit = self._codes.get(dim)
+        if hit is None or hit[0] is not col:
+            _, inv = np.unique(col, return_inverse=True)
+            hit = self._codes[dim] = (col, inv.astype(np.int64))
+        return hit[1]
 
 
 def expected_row_count(n_players: int, window) -> int:

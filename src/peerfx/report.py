@@ -78,21 +78,17 @@ def _fe_extras(columns) -> list:
     return extras
 
 
-def main_report(ols: FitResult, reduced_form: FitResult, iv: FitResult) -> str:
-    """Four-column ownership table: OLS, reduced form, first stage, 2SLS."""
-    fs = iv.first_stage
-    if isinstance(fs, tuple):
-        fs = fs[0]
-    for fit, label in ((ols, "y"), (reduced_form, "y"), (fs, "x_friend"), (iv, "y")):
+def main_report(ols: FitResult, iv: FitResult) -> str:
+    """Four-column ownership table: OLS, and from the 2SLS fit its reduced
+    form, first stage and itself."""
+    rf, fs = iv.reduced_form, iv.first_stage[0]
+    for fit, label in ((ols, "y"), (rf, "y"), (fs, "x_friend"), (iv, "y")):
         fit.stats.setdefault("outcome_label", label)
-    columns = [("OLS", ols), ("Reduced form", reduced_form),
-               ("First stage", fs), ("2SLS", iv)]
+    columns = [("OLS", ols), ("Reduced form", rf), ("First stage", fs), ("2SLS", iv)]
     rows = [("x_friend", "Friend owns game"),
             ("z_sd_lag", "Second-degree owner, lagged")]
-    extras = []
-    if iv.ar_stat is not None:
-        extras.append(("Anderson-Rubin stat", {"First stage": f"{iv.ar_stat:.2f}"}))
-    extras += _fe_extras(columns)
+    extras = [("Anderson-Rubin stat", {"First stage": f"{iv.ar_stat:.2f}"}),
+              *_fe_extras(columns)]
     extras.append(("Clusters (player)", {h: f"{f.n_clusters:,}" for h, f in columns}))
     return render_estimate_table(columns, rows, extras,
                                  title="Friend ownership and game adoption")

@@ -110,6 +110,24 @@ def test_missing_input_file_is_exit_2(tmp_path, capsys):
     assert "no such file" in err and str(tmp_path / "nope.csv") in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("build-panel", "--outcome-mode", "bogus"),
+    ("build-panel", "--aggregation", "median"),
+    ("simulate", "--degree-dist", "zipf"),
+    ("heterogeneity", "--method", "gmm")])
+def test_rejected_setting_is_exit_2_before_any_input_is_read(tmp_path, capsys,
+                                                             command, flag, value):
+    bad = tmp_path / "bad.csv"  # a malformed input: the setting must fail first
+    bad.write_text("not,a,known,header\n1,2\n")
+    inputs = {"build-panel": ["--edges", str(bad), "--achievements", str(bad),
+                              "--window-start", "0", "--window-end", "5"],
+              "simulate": [], "heterogeneity": ["--panel", str(bad)]}[command]
+    assert main([command, *inputs, flag, value, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(value) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_error_is_exit_1(sim_dir, tmp_path, capsys):
     # alpha far beyond 1/spectral-radius: the centrality iteration diverges
     code = main(["katz", "--edges", str(sim_dir / "edges.csv"),
@@ -301,6 +319,20 @@ def test_estimate_outputs_match_api(panel_path, tmp_path, capsys):
     assert float(rows["anderson_rubin"][0]) == pytest.approx(iv.ar_stat,
                                                              rel=1e-10)
     assert rows["anderson_rubin"][1] == ""
+
+
+def test_estimate_fits_each_regression_once(panel_path, tmp_path, monkeypatch):
+    from peerfx import estimator
+    core, specs = estimator._fit_core, []
+
+    def spy(panel, spec, *args):
+        specs.append((spec.outcome, spec.endog, spec.instruments, spec.exog))
+        return core(panel, spec, *args)
+
+    monkeypatch.setattr(estimator, "_fit_core", spy)
+    assert main(["estimate", "--panel", str(panel_path),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(specs) == len(set(specs)) == 4  # OLS, 2SLS, first stage, reduced form
 
 
 def test_estimate_report_matches_golden(panel_path, tmp_path):

@@ -136,6 +136,24 @@ def test_within_memo_follows_replaced_columns_and_ignores_writes():
     assert again.ar_stat == refit.ar_stat
 
 
+@pytest.mark.parametrize("dim", ["player", "week"])
+def test_replaced_player_or_week_refreshes_fixed_effects_and_clusters(dim):
+    rng = np.random.default_rng(42)
+    d = toy_panel(rng, n_players=30, n_weeks=6)
+    spec = DesignSpec(outcome="y", endog=("x",), instruments=("z",))
+    cols = {k: d[k] for k in ("y", "x", "z")}
+    panel = PanelDataset(player=d["player"], week=d["week"], columns=dict(cols))
+    first = tsls_fit(panel, spec)
+    setattr(panel, dim, d[dim] // 2)
+    refit = tsls_fit(panel, spec)
+    fresh = tsls_fit(PanelDataset(player=panel.player, week=panel.week,
+                                  columns=dict(cols)), spec)
+    assert refit.coef_of("x") != first.coef_of("x")
+    assert np.array_equal(refit.coef, fresh.coef)
+    assert np.array_equal(refit.vcov, fresh.vcov)
+    assert refit.n_clusters == fresh.n_clusters == (15 if dim == "player" else 30)
+
+
 def test_within_no_dims_is_identity():
     rng = np.random.default_rng(5)
     d = toy_panel(rng)
@@ -420,13 +438,28 @@ def test_tsls_attaches_first_stage_and_ar():
     rng = np.random.default_rng(20)
     d = toy_panel(rng)
     iv = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("z",)))
-    fs = iv.first_stage
+    fs = iv.first_stage[0]
     assert fs.model == "first_stage"
     assert fs.stats["instrument_wald"] > 10  # strong by construction
     assert iv.ar_stat == pytest.approx(
         anderson_rubin(d, DesignSpec(outcome="y", endog=("x",),
                                      instruments=("z",))), abs=1e-12)
     assert iv.stats["first_stage_wald"] == fs.stats["instrument_wald"]
+
+
+def test_tsls_reduced_form_is_the_standalone_fit():
+    rng = np.random.default_rng(27)
+    d = toy_panel(rng)
+    d["w"] = rng.normal(0, 1, d["y"].size)
+    iv = tsls_fit(d, DesignSpec(outcome="y", endog=("x",), instruments=("z",),
+                                exog=("w",)))
+    rf = ols_fit(d, DesignSpec(outcome="y", exog=("z", "w")))
+    assert iv.reduced_form.terms == rf.terms
+    assert np.array_equal(iv.reduced_form.coef, rf.coef)
+    assert np.array_equal(iv.reduced_form.vcov, rf.vcov)
+    assert iv.ar_stat == (rf.coef_of("z") / rf.se_of("z")) ** 2
+    assert iv.ar_stat == anderson_rubin(d, DesignSpec(
+        outcome="y", endog=("x",), instruments=("z",), exog=("w",)))
 
 
 def test_tsls_orthogonal_instrument_raises_weak():
@@ -531,9 +564,25 @@ def test_heterogeneity_drops_flat_endog_pairwise():
     fit = heterogeneity_fit(d, method="2sls")
     assert "x_of" in fit.dropped
     assert "x_of" not in fit.terms
+    assert isinstance(fit.first_stage, tuple) and len(fit.first_stage) == 1
+    fs = ols_fit(d, DesignSpec(outcome="x_kp", exog=("z_kp_lag", "z_of_lag")))
+    assert np.array_equal(fit.first_stage[0].coef, fs.coef)
     solo = tsls_fit(d, DesignSpec(outcome="y", endog=("x_kp",),
                                   instruments=("z_kp_lag",)))
     assert fit.coef_of("x_kp") == pytest.approx(solo.coef_of("x_kp"), abs=1e-12)
+
+
+@pytest.mark.parametrize("flat, dropped", [("x_of", ("x_of", "w")),
+                                           ("z_of_lag", ("z_of_lag", "w"))])
+def test_two_endog_drop_names_regressor_else_instrument_then_exog(flat, dropped):
+    rng = np.random.default_rng(28)
+    d = het_panel(rng)
+    d[flat] = rng.normal(0, 1, 14)[d["player"]]  # absorbed by player FE
+    d["w"] = rng.normal(0, 1, 8)[d["week"]]      # absorbed by week FE
+    fit = tsls_fit(d, DesignSpec(outcome="y", endog=("x_kp", "x_of"),
+                                 instruments=("z_kp_lag", "z_of_lag"), exog=("w",)))
+    assert fit.dropped == dropped
+    assert fit.terms == ("x_kp",) and len(fit.first_stage) == 1
 
 
 def test_heterogeneity_ols_and_bad_method():
