@@ -130,6 +130,8 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     if cfg.window_start is not None and cfg.window_end is not None \
             and cfg.window_end <= cfg.window_start:
         raise ConfigError("window_end must exceed window_start")
+    if cfg.threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
     return cfg
 
 

@@ -210,18 +210,30 @@ def _quote(cell: str) -> str:
 def _format_column(values: np.ndarray) -> list:
     """Text of each cell.  Integers print as integers; so do integral floats
     below 2**53, and any other float prints as its shortest round-trip repr.
-    Text holding a comma, a quote or a line break is quoted."""
+    Text holding a comma, a quote or a line break is quoted.  An integer
+    block whose values span less than twice its length takes its cells from
+    a table of that range, each distinct text made once; the text is the
+    same as cell-by-cell formatting."""
     if values.dtype.kind in "OU":
         cells = values.astype(str).tolist()
         return list(map(_quote, cells)) if _NEEDS_QUOTES.search("".join(cells)) else cells
-    if values.dtype.kind != "f":
+    if values.dtype.kind == "f":
+        integral = (values == np.trunc(values)) & (np.abs(values) < 2.0**53)
+        if not integral.all():
+            text = values.astype(str)
+            text[integral] = values[integral].astype(np.int64).astype(str)
+            return text.tolist()
+        values = values.astype(np.int64)
+    elif values.dtype.kind not in "iu":
         return values.astype(str).tolist()
-    integral = (values == np.trunc(values)) & (np.abs(values) < 2.0**53)
-    if integral.all():
-        return values.astype(np.int64).astype(str).tolist()
-    text = values.astype(str)
-    text[integral] = values[integral].astype(np.int64).astype(str)
-    return text.tolist()
+    iv = values.astype(np.uint64 if values.dtype.kind == "u" else np.int64, copy=False)
+    if iv.size:
+        lo = iv.min()
+        span = int(iv.max()) - int(lo)
+        if span < 2 * iv.size:
+            table = (lo + np.arange(span + 1, dtype=iv.dtype)).astype(str).astype(object)
+            return table[iv - lo].tolist()
+    return iv.astype(str).tolist()
 
 
 def _write_table(path, header, columns):

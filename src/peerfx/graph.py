@@ -11,6 +11,7 @@ that the heterogeneity regressors are built from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -327,10 +328,10 @@ def _estimate_spectral_radius(matvec, n: int, steps: int = 50) -> float:
     lam = 0.0
     for _ in range(steps):
         w = matvec(v)
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(_dot(w, w))  # not np.linalg.norm, a BLAS sum
         if norm == 0.0:
             return 0.0
-        lam = norm / float(np.linalg.norm(v))
+        lam = norm / math.sqrt(_dot(v, v))
         v = w / norm
     return lam
 

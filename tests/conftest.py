@@ -8,6 +8,7 @@ slow, obvious way so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -59,16 +60,18 @@ def katz_dense_oracle(adj, nodes, t, alpha):
 def katz_alpha_oracle(A, steps=50):
     """Katz's default alpha, 0.9 / lambda_hat (0.9 without edges), with
     lambda_hat the norm ratio after ``steps`` power steps of the scipy
-    matrix ``A`` from the all-ones vector."""
+    matrix ``A`` from the all-ones vector.  Each norm is the square root of
+    numpy's pairwise sum of squares, a sum whose order no thread count
+    changes."""
     v = np.ones(A.shape[0])
     lam = 0.0
     for _ in range(steps):
         w = A @ v
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(np.add.reduce(w * w))
         if norm == 0.0:
             lam = 0.0
             break
-        lam = norm / float(np.linalg.norm(v))
+        lam = norm / math.sqrt(np.add.reduce(v * v))
         v = w / norm
     return 0.9 / lam if lam > 0 else 0.9
 

@@ -128,6 +128,27 @@ def test_rejected_setting_is_exit_2_before_any_input_is_read(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, threads, via_config", [
+    ("estimate", "-2", False), ("heterogeneity", "0", False),
+    ("playtime", "-2", False), ("estimate", "0", True)])
+def test_threads_below_one_is_exit_2_before_any_input_is_read(tmp_path, capsys, command,
+                                                              threads, via_config):
+    bad = tmp_path / "bad.csv"  # a malformed input: the setting must fail first
+    bad.write_text("not,a,known,header\n1,2\n")
+    inputs = (["--edges", str(bad), "--achievements", str(bad), "--playtime", str(bad)]
+              if command == "playtime" else ["--panel", str(bad)])
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"threads = {threads}\n")
+        setting = ["--config", str(cfg)]
+    else:
+        setting = ["--threads", threads]
+    assert main([command, *inputs, *setting, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"threads must be at least 1, got {threads}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_error_is_exit_1(sim_dir, tmp_path, capsys):
     # alpha far beyond 1/spectral-radius: the centrality iteration diverges
     code = main(["katz", "--edges", str(sim_dir / "edges.csv"),

@@ -269,11 +269,13 @@ def test_katz_beyond_inverse_spectral_radius_diverges():
         katz_centrality(net, 30, alpha=1.02 / rho)
 
 
-def test_katz_scores_identical_across_thread_counts():
+def _katz_at_thread_counts(n_players, seed):
+    """Week-56 Katz alpha, CG steps and score hash of a generated graph, run
+    in a fresh process at 1 and at 2 BLAS threads."""
     probe = (
         "import hashlib\n"
         "from peerfx import SimConfig, gen_network, katz_centrality\n"
-        "net = gen_network(SimConfig(n_players=5000, mean_degree=6.0, seed=3))\n"
+        f"net = gen_network(SimConfig(n_players={n_players}, mean_degree=6.0, seed={seed}))\n"
         "s = katz_centrality(net, 56)\n"
         "print(s.alpha.hex(), s.iterations,\n"
         "      hashlib.sha256(s.values.tobytes()).hexdigest())\n")
@@ -287,6 +289,17 @@ def test_katz_scores_identical_across_thread_counts():
                               text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
+    return outs
+
+
+def test_katz_scores_identical_across_thread_counts():
+    outs = _katz_at_thread_counts(5000, 3)
+    assert outs[0] == outs[1]
+
+
+def test_katz_default_alpha_identical_across_thread_counts_on_a_long_vector():
+    # 20k nodes: long enough that a BLAS norm splits its sum across threads
+    outs = _katz_at_thread_counts(20000, 1)
     assert outs[0] == outs[1]
 
 

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from peerfx import ParseError
-from peerfx import fileio
+from peerfx import (AdoptionSchedule, GroupAssignment, PanelConfig, ParseError,
+                    build_network, build_panel, fileio, katz_centrality, tag_peers)
+
+from conftest import random_edges
 
 
 def test_edges_roundtrip(tmp_path):
@@ -287,6 +289,73 @@ def test_panel_cells_follow_the_number_rule(tmp_path):
     assert np.array_equal(cols["player"], Stub.player)
     for name in fileio.PANEL_COLUMNS:
         assert np.array_equal(cols[name], panel_cols[name])
+
+
+def _table_path_taken(cells):
+    """True when a block with repeated cells holds one string object per
+    distinct text, which only the value table gives (``astype(str).tolist()``
+    makes a new string per cell)."""
+    distinct = len(set(cells))
+    return len(cells) > distinct == len({id(c) for c in cells})
+
+
+INT_BLOCKS = {
+    "negative": (np.array([-15, -13, -15, -14, -10, -11, -13, -12]), True),
+    "repeated": (np.full(8, 123456), True),
+    "span_2n_minus_1": (np.array([500, 515, 507, 507, 501, 514, 507, 500]), True),
+    "span_2n": (np.array([500, 516, 507, 507, 501, 514, 507, 500]), False),
+    "empty": (np.zeros(0, dtype=np.int64), False),
+    "uint64": (np.array([2**64 - 1, 2**64 - 3, 2**64 - 1, 2**64 - 2], dtype=np.uint64), True),
+    "uint64_wide": (np.array([2**64 - 1, 10, 2**64 - 1, 99], dtype=np.uint64), False),
+    "int8_wrapping": (np.array([-100, 100] * 101, dtype=np.int8), True),
+    "steam_ids": (np.array([76561197960265728, 76561197960265729] * 4), True),
+}
+
+
+@pytest.mark.parametrize("name", INT_BLOCKS)
+def test_integer_block_cells_equal_cell_by_cell_text(name):
+    values, table = INT_BLOCKS[name]
+    cells = fileio._format_column(values)
+    assert cells == values.astype(str).tolist()
+    assert _table_path_taken(cells) == table
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3.0, -2.0, 3.0, -0.0, 0.0, 3.0, 10.0, 10.0]),
+    np.array([2.0**53 - 1, 2.0**53 - 2, 2.0**53 - 1]),
+    np.zeros(0)], ids=["integral", "below_2_53", "empty"])
+def test_integral_float_block_cells_equal_integer_text(values):
+    cells = fileio._format_column(values)
+    assert cells == values.astype(np.int64).astype(str).tolist()
+    assert cells == [_format_value_oracle(v) for v in values]
+
+
+@pytest.mark.parametrize("aggregation", ["any", "mean"])
+def test_written_panel_reads_back_equal(tmp_path, aggregation):
+    rng = np.random.default_rng(8)
+    net = build_network(random_edges(rng, 60, 200, max_week=30))
+    buyers = np.unique(rng.integers(0, 60, 25))
+    sched = AdoptionSchedule("SMB", buyers, rng.integers(0, 40, buyers.size))
+    tags = tag_peers(net, katz_centrality(net, 26), 30, percentile=0.8,
+                     min_age_weeks=20)
+    sample = rng.choice(net.nodes, 20, replace=False)
+    groups = GroupAssignment(np.sort(sample[:10]), np.sort(sample[10:]), 0, 10)
+    panel = build_panel(net, sched, tags, groups, (27, 36),
+                        PanelConfig(aggregation=aggregation))
+    values = np.concatenate([panel.column(c) for c in fileio.PANEL_COLUMNS])
+    assert (values != np.trunc(values)).any() == (aggregation == "mean")
+    path = tmp_path / "panel.csv"
+    fileio.write_panel_csv(path, panel)
+    lines = path.read_text().splitlines()[1:]
+    for q, line in enumerate(lines):
+        want = [str(panel.player[q]), str(panel.week[q])] + [
+            _format_value_oracle(panel.column(c)[q]) for c in fileio.PANEL_COLUMNS]
+        assert line == ",".join(want), q
+    cols, _ = fileio.read_panel_csv(path)
+    assert np.array_equal(cols["player"], panel.player)
+    assert np.array_equal(cols["week"], panel.week)
+    for name in fileio.PANEL_COLUMNS:
+        assert np.array_equal(cols[name], panel.column(name))
 
 
 def test_json_roundtrip_numpy_types(tmp_path):

@@ -6,6 +6,8 @@ which are tested against BFS separately — an independent route to the same
 numbers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,14 @@ from peerfx import (
     InvalidParameterError,
     PanelConfig,
     PeerTags,
+    SimConfig,
     assign_groups,
     build_network,
     build_panel,
     build_playtime_crosssection,
     derive_schedule,
     expected_row_count,
+    gen_network,
     katz_centrality,
     tag_peers,
 )
@@ -591,7 +595,7 @@ def test_sd_row_over_path_budget_is_a_block_of_its_own(monkeypatch):
                                                (7, 8)]
 
 
-@pytest.mark.parametrize("budget", [1, 37, 500, 8_000_000])
+@pytest.mark.parametrize("budget", [1, 37, 500, 500_000, 8_000_000])
 def test_sd_multi_row_blocks_stay_within_path_budget(budget, monkeypatch):
     monkeypatch.setattr(panel_mod, "_SD_PATH_BUDGET", budget)
     rng = np.random.default_rng(23)
@@ -611,6 +615,29 @@ def test_sd_multi_row_blocks_stay_within_path_budget(budget, monkeypatch):
         # blocks are greedy: the next row would break the budget or the cap
         if stop < paths.size and stop - start < 6:
             assert paths[start:stop + 1].sum() > budget
+
+
+def test_build_panel_memory_is_bounded_at_mean_degree_32():
+    # the dense benchmark's network (20k players at mean degree 32) and 3,000
+    # sampled players with ~3.2M two-hop paths.  Under one 8M-path block build_panel
+    # peaked at ~240 MiB of traced allocations; 500k-path blocks keep ~43 MiB.
+    net = gen_network(SimConfig(n_players=20000, mean_degree=32.0, seed=1))
+    rng = np.random.default_rng(1)
+    buyers = np.sort(rng.choice(net.nodes, 2000, replace=False))
+    sched = AdoptionSchedule("SMB", buyers, rng.integers(40, 100, buyers.size))
+    tags = tag_peers(net, katz_centrality(net, 56), 60)
+    sample = rng.choice(net.nodes, 3000, replace=False)
+    groups = make_groups(sample[:1500], sample[1500:])
+    paths = net.friend_sum(net.degrees())[net.indices_of(groups.all_players())]
+    assert paths.sum() > 5 * panel_mod._SD_PATH_BUDGET
+    tracemalloc.start()
+    try:
+        panel = build_panel(net, sched, tags, groups, (60, 99))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.n_rows == 3000 * 39
+    assert peak < 100 * 2**20, f"build_panel traced peak {peak / 2**20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------
