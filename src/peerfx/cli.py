@@ -127,11 +127,18 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
-    if cfg.window_start is not None and cfg.window_end is not None \
-            and cfg.window_end <= cfg.window_start:
-        raise ConfigError("window_end must exceed window_start")
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
+    rules = {  # a setting outside its documented values fails before any read
+        "window_end": (None in (cfg.window_start, cfg.window_end)
+                       or cfg.window_end > cfg.window_start, "above window_start"),
+        "threads": (cfg.threads >= 1, "at least 1"),
+        "method": (cfg.method in ("2sls", "ols"), "2sls or ols"),
+        "kp_percentile": (0.0 < cfg.kp_percentile < 1.0, "in (0, 1)"),
+        "n_per_group": (cfg.n_per_group >= 0, "non-negative"),
+        "release_week": (cfg.release_week is None or cfg.release_week >= 4, "at least 4"),
+        "katz_alpha": (cfg.katz_alpha is None or cfg.katz_alpha > 0.0, "positive")}
+    for name, (ok, rule) in rules.items():
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
     return cfg
 
 
@@ -266,8 +273,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_heterogeneity(cfg: RunConfig) -> int:
-    if cfg.method not in ("2sls", "ols"):
-        raise ConfigError(f"method must be 2sls or ols, got {cfg.method!r}")
     panel = _load_panel(cfg)
     ols = estimator.heterogeneity_fit(panel, method="ols", threads=cfg.threads)
     named = [("ols", ols)]

@@ -8,15 +8,14 @@ playtime layer on top of realized purchases.
 
 Within a week, adoption is sequential: every player gets a uniform draw and
 a random evaluation slot, purchases commit in slot order, and a commit
-immediately raises the hazard of friends evaluated later the same week.
-The loop below reproduces those semantics exactly without walking all
-players in Python — only actual purchases and their neighborhoods are
-touched.
+immediately shifts the hazard of friends evaluated later the same week.
+A decision depends only on friends with an earlier slot, so each week has
+one consistent set of buyers; vectorized waves over the neighborhoods of
+changed decisions find it exactly, without walking players in Python.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,24 +214,20 @@ def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
     return net
 
 
-def _neighbor_mean(net: TemporalNetwork, values: np.ndarray) -> np.ndarray:
-    deg = net.degrees()
-    return np.divide(net.friend_sum(values), deg, out=np.zeros_like(values), where=deg > 0)
-
-
 def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
                       rng, kp_mask: np.ndarray | None = None,
                       game: str | None = None) -> AdoptionSchedule:
     """Weekly hazard process with exact within-week sequential commits.
 
     Each horizon week draws one uniform and one evaluation slot per player.
-    Week-start buyers seed a heap keyed by slot; every commit bumps friend
-    exposure counts over edges already formed, and a friend whose updated
-    hazard now exceeds their uniform joins the heap if their slot is still
-    ahead.  When a peer shift is negative, a commit can also lower a queued
-    friend's hazard, so each popped player is checked against their current
-    hazard again.  This reproduces a strict player-by-player sweep while
-    touching only actual buyers.
+    A player buys when their uniform is below their hazard, given friends
+    (over edges formed by then) who bought in an earlier week or at an
+    earlier slot.  Slots are a permutation, so the week has exactly one
+    consistent set of buyers: the one a player-by-player sweep finds, for
+    any sign of the peer shifts.  Waves reach it from the week-start buyers;
+    each re-decides the at-risk later-slot friends of the players whose
+    decision just changed.  A player at depth d of the slot order is settled
+    after wave d, and a wave that changes nothing ends the week.
 
     ``kp_mask`` marks key players by position (needed when ``beta_kp`` is
     nonzero); old-friend edges come from ``cfg.old_edge_cutoff``.
@@ -244,76 +239,76 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
     if wfx.size != horizon:
         raise InvalidParameterError(
             f"week_effects needs length {horizon}, got {wfx.size}")
-    if kp_mask is None:
-        kp_mask = np.zeros(P, dtype=bool)
-        if truth.beta_kp != 0.0:
-            raise InvalidParameterError("beta_kp set but no kp_mask given")
-    kp_mask = np.asarray(kp_mask, dtype=bool)
+    if kp_mask is None and truth.beta_kp != 0.0:
+        raise InvalidParameterError("beta_kp set but no kp_mask given")
+    kp_mask = np.zeros(P, dtype=bool) if kp_mask is None else np.asarray(kp_mask, dtype=bool)
 
     alpha = rng.normal(0.0, truth.sigma_alpha, P) if truth.sigma_alpha > 0 \
         else np.zeros(P)
-    if truth.homophily != 0.0:
-        alpha = alpha + truth.homophily * _neighbor_mean(net, alpha)
+    if truth.homophily != 0.0:  # shift by the mean of the friends' effects
+        deg = net.degrees()
+        alpha = alpha + truth.homophily * np.divide(
+            net.friend_sum(alpha), deg, out=np.zeros_like(alpha), where=deg > 0)
 
-    indptr, nbr, formed = net.indptr, net.nbr, net.formed
-    src, _ = net.entries(np.arange(P))  # owner of each directed slot
+    nbr, formed = net.nbr, net.formed
     old_slot = formed <= cfg.old_edge_cutoff
-    # directed slots whose edge forms mid-horizon, in week order
+    # directed slots whose edge forms mid-horizon, in week order, and their owners
     late = np.flatnonzero(formed > cfg.release_week)
     late = late[np.argsort(formed[late], kind="stable")]
+    late_owner = np.searchsorted(net.indptr, late, side="right") - 1
     cuts = np.searchsorted(formed[late], np.arange(cfg.release_week, cfg.n_weeks + 1))
 
     p_week = np.full(P, NEVER, dtype=np.int64)
-    n_f, n_kp, n_of = (np.zeros(P, dtype=np.int32) for _ in range(3))  # exposure counts
+    seen = np.zeros((3, P), dtype=bool)  # owning friend: any, key player, old friend
     at_risk = np.ones(P, dtype=bool)
     clip_low = clip_high = 0
-    # only a negative shift can lower a queued player's hazard before their slot
-    recheck = min(truth.beta, truth.beta_kp, truth.beta_of) < 0.0
 
-    def expose(i, idx):
-        """Owner ``i`` exposes the friend at directed slot ``idx``; returns it."""
-        f = int(nbr[idx])
-        n_f[f] += 1
-        if kp_mask[i]:
-            n_kp[f] += 1
-        if old_slot[idx]:
-            n_of[f] += 1
-        return f
+    def expose(flags, dest, owner, pos):
+        """Owners ``owner`` over directed slots ``pos`` set ``flags`` at ``dest``."""
+        flags[0, dest] = True
+        flags[1, dest[kp_mask[owner]]] = True
+        flags[2, dest[old_slot[pos]]] = True
 
-    def hazard(who):
+    def hazard(who, flags):
         """Unclipped adoption probability of ``who`` at this week's ``base``."""
-        return (base[who] + truth.beta * (n_f[who] > 0)
-                + truth.beta_kp * (n_kp[who] > 0) + truth.beta_of * (n_of[who] > 0))
+        return (base[who] + truth.beta * flags[0] + truth.beta_kp * flags[1]
+                + truth.beta_of * flags[2])
 
     for t in range(cfg.release_week, cfg.n_weeks):
         w = t - cfg.release_week
-        new = late[cuts[w]:cuts[w + 1]]
-        for idx in new[p_week[src[new]] < t].tolist():  # owner bought before the edge formed
-            expose(src[idx], idx)
+        new, owner = late[cuts[w]:cuts[w + 1]], late_owner[cuts[w]:cuts[w + 1]]
+        early = p_week[owner] < t  # owner bought before the edge formed
+        expose(seen, nbr[new[early]], owner[early], new[early])
         base = truth.baseline_hazard + alpha + wfx[w]
         if truth.prob_noise_sd > 0:
             base = base + rng.normal(0.0, truth.prob_noise_sd, P)
-        h = hazard(slice(None))
+        h = hazard(slice(None), seen)
         clip_low += int((h[at_risk] < 0.0).sum())
         clip_high += int((h[at_risk] > 1.0).sum())
         u = rng.random(P)
         slots = rng.permutation(P)
         # u < h iff u < clip(h, 0, 1), because u lies in [0, 1)
-        queued = at_risk & (u < h)
-        heap = list(zip(slots[queued].tolist(), np.flatnonzero(queued).tolist()))
-        heapq.heapify(heap)
-        while heap:
-            r, i = heapq.heappop(heap)
-            if recheck and not u[i] < hazard(i):
-                continue
-            p_week[i] = t
-            at_risk[i] = False
-            for idx in range(indptr[i], indptr[i + 1]):
-                if formed[idx] <= t:
-                    f = expose(i, idx)
-                    if at_risk[f] and not queued[f] and slots[f] > r and u[f] < hazard(f):
-                        queued[f] = True
-                        heapq.heappush(heap, (int(slots[f]), f))
+        buy = at_risk & (u < h)
+        changed = np.flatnonzero(buy)
+        while changed.size:
+            r, pos = net.entries(changed)
+            f = nbr[pos]
+            later = (formed[pos] <= t) & at_risk[f] & (slots[f] > slots[changed[r]])
+            who = np.unique(f[later])
+            r, pos = net.entries(who)
+            k = nbr[pos]
+            on = buy[k] & (formed[pos] <= t) & (slots[k] < slots[who[r]])
+            flags = seen[:, who]  # a copy
+            expose(flags, r[on], k[on], pos[on])
+            now = u[who] < hazard(who, flags)
+            changed = who[now != buy[who]]
+            buy[who] = now
+        buyers = np.flatnonzero(buy)
+        p_week[buyers] = t
+        at_risk[buyers] = False
+        r, pos = net.entries(buyers)
+        keep = formed[pos] <= t
+        expose(seen, nbr[pos[keep]], buyers[r[keep]], pos[keep])
 
     bought = p_week < NEVER
     meta = {

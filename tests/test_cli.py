@@ -4,6 +4,7 @@ and byte-level determinism.  One report is frozen as a golden file."""
 import dataclasses
 import filecmp
 import gzip
+import hashlib
 import os
 import shutil
 import subprocess
@@ -149,6 +150,39 @@ def test_threads_below_one_is_exit_2_before_any_input_is_read(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, name, value, how", [
+    ("build-panel", "kp_percentile", "1.5", "flag"),
+    ("build-panel", "kp_percentile", "nan", "flag"),
+    ("build-panel", "kp_percentile", "1.5", "missing-edges"),
+    ("build-panel", "n_per_group", "-1", "flag"),
+    ("build-panel", "release_week", "2", "flag"),
+    ("build-panel", "katz_alpha", "-1", "flag"),
+    ("build-panel", "katz_alpha", "0", "config"),
+    ("playtime", "kp_percentile", "1.5", "flag"),
+    ("katz", "katz_alpha", "-1", "flag")])
+def test_numeric_setting_out_of_range_is_exit_2_before_any_input_is_read(
+        tmp_path, capsys, command, name, value, how):
+    bad = tmp_path / "bad.csv"  # a malformed input: the setting must fail first
+    bad.write_text("not,a,known,header\n1,2\n")
+    edges = tmp_path / "nope.csv" if how == "missing-edges" else bad
+    inputs = {"build-panel": ["--achievements", str(bad), "--window-start", "60",
+                              "--window-end", "70"],
+              "playtime": ["--achievements", str(bad), "--playtime", str(bad),
+                           "--covariates", str(bad)],
+              "katz": ["--week", "10"]}[command]
+    if how == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        setting = ["--config", str(cfg)]
+    else:
+        setting = ["--" + name.replace("_", "-"), value]
+    argv = [command, "--edges", str(edges), *inputs, *setting, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must be ") and "no such file" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_error_is_exit_1(sim_dir, tmp_path, capsys):
     # alpha far beyond 1/spectral-radius: the centrality iteration diverges
     code = main(["katz", "--edges", str(sim_dir / "edges.csv"),
@@ -257,6 +291,27 @@ def test_simulate_byte_identical_for_same_seed(tmp_path):
     assert same == names and not diff and not errors
     same3, _, _ = filecmp.cmpfiles(d1, d3, names, shallow=False)
     assert "edges.csv" not in same3
+
+
+def test_simulate_bytes_with_every_hazard_channel_on(tmp_path):
+    # mixed-sign peer shifts, key-player and old-friend channels, edges that
+    # form mid-horizon and per-week probability noise; the digests freeze
+    # the within-week commit order's output, which the golden report (run at
+    # default settings) does not reach
+    args = ["--seed", "4", "--n-players", "1500", "--mean-degree", "6",
+            "--n-weeks", "90", "--release-week", "70", "--formation-end", "80",
+            "--key-player-share", "0.05", "--beta", "0.08", "--beta-kp", "-0.05",
+            "--beta-of", "0.03", "--baseline-hazard", "0.002",
+            "--sigma-alpha", "0.001", "--prob-noise-sd", "0.002"]
+    assert main(["simulate", "--out", str(tmp_path), *args]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("achievements.csv", "truth.json")}
+    assert digests == {
+        "achievements.csv":
+            "e8d5a3bea0e4090de20eb62ddf8c75543d983c41ab7a63402bd0a475912dafec",
+        "truth.json":
+            "48959b7f368e142359203f34d1c4d598be4a4eb8b199902c02f6e1ed94863b9f",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The contagion process has one fully deterministic regime: beta = 1 pins
 every exposed player's hazard at the ceiling, so adoption must sweep each
 connected component along the edge-activation timeline.  That invariant
-exercises the within-week heap and the mid-horizon edges without
+exercises the within-week waves and the mid-horizon edges without
 reference to any distributional approximation.
 """
 
@@ -207,15 +207,26 @@ def assert_matches_sweep(net, cfg, truth, kp_mask):
     return sched, clip_low
 
 
-@pytest.mark.parametrize("shifts", [
-    dict(beta=-0.01, baseline_hazard=0.012),
-    dict(beta=0.03, beta_kp=-0.02, baseline_hazard=0.01),
-], ids=["negative", "mixed-sign"])
-def test_adoption_matches_sweep_with_negative_peer_shifts(shifts):
-    # a commit lowers the hazard of friends queued later in the same week;
-    # the simulator must drop those whose uniform is now above it
-    cfg = SimConfig(n_players=1500, mean_degree=4.0, release_week=60,
-                    formation_end=75, seed=21)
+DEEP_MIXED = dict(beta=0.3, beta_kp=-0.25, beta_of=0.1, baseline_hazard=0.002)
+DEEP_CEILING = dict(beta=1.0, baseline_hazard=0.002)
+
+
+@pytest.mark.parametrize("world, shifts", [
+    (dict(n_players=1500, mean_degree=4.0), dict(beta=-0.01, baseline_hazard=0.012)),
+    (dict(n_players=1500, mean_degree=4.0),
+     dict(beta=0.03, beta_kp=-0.02, baseline_hazard=0.01)),
+    (dict(n_players=1200, mean_degree=12.0), DEEP_MIXED),
+    (dict(n_players=1200, mean_degree=24.0), DEEP_MIXED),
+    (dict(n_players=1200, mean_degree=12.0), DEEP_CEILING),
+    (dict(n_players=1200, mean_degree=24.0), DEEP_CEILING),
+], ids=["negative", "mixed-sign", "deg12-mixed-sign", "deg24-mixed-sign",
+        "deg12-beta-1", "deg24-beta-1"])
+def test_adoption_matches_sweep_with_negative_peer_shifts(world, shifts):
+    # a purchase lowers the hazard of friends evaluated later the same week,
+    # who must not buy when their uniform is now above it.  At mean degree
+    # 12 and 24 a week's purchases chain through several friends, so the
+    # within-week waves run six to eight deep
+    cfg = SimConfig(release_week=60, formation_end=75, seed=21, **world)
     net = gen_network(cfg)
     kp_mask = np.random.default_rng(5).random(net.n_nodes) < 0.1
     truth = SimTruth(sigma_alpha=0.0, **shifts)
