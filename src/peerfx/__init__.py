@@ -13,7 +13,7 @@ from .errors import (ConfigError, DivergedError, GenerationFailedError,
                      InvalidParameterError, NotFoundError, ParseError,
                      PeerEffectsError, RankDeficientError,
                      WeakIdentificationError)
-from .graph import (NEVER, CentralityScores, PeerTags, TemporalNetwork,
+from .graph import (NEVER, CentralityScores, PeerTags, TagConfig, TemporalNetwork,
                     build_network, katz_centrality, second_degree_counts,
                     tag_peers, week_of_unix)
 from .panel import (AdoptionSchedule, GroupAssignment, PanelConfig,
@@ -37,7 +37,7 @@ __all__ = [
     "InvalidParameterError", "NEVER", "NotFoundError", "PanelConfig",
     "PanelDataset",
     "ParseError", "PeerEffectsError", "PeerTags",
-    "RankDeficientError", "SimConfig", "SimOutput", "SimTruth",
+    "RankDeficientError", "SimConfig", "SimOutput", "SimTruth", "TagConfig",
     "TemporalNetwork", "WeakIdentificationError", "WithinResult",
     "anderson_rubin", "assign_groups", "build_network", "build_panel",
     "build_playtime_crosssection", "clustered_vcov", "derive_schedule",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import estimator, fileio, report
 from .errors import ConfigError, InvalidParameterError, PeerEffectsError
-from .graph import build_network, katz_centrality, tag_peers
+from .graph import TagConfig, build_network, katz_centrality, tag_peers
 from .panel import (PanelConfig, PanelDataset, assign_groups,
                     build_panel, build_playtime_crosssection, derive_schedule)
 from .simulate import SimConfig, SimTruth, run_simulation
@@ -132,9 +132,7 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
                        or cfg.window_end > cfg.window_start, "above window_start"),
         "threads": (cfg.threads >= 1, "at least 1"),
         "method": (cfg.method in ("2sls", "ols"), "2sls or ols"),
-        "kp_percentile": (0.0 < cfg.kp_percentile < 1.0, "in (0, 1)"),
         "n_per_group": (cfg.n_per_group >= 0, "non-negative"),
-        "release_week": (cfg.release_week is None or cfg.release_week >= 4, "at least 4"),
         "katz_alpha": (cfg.katz_alpha is None or cfg.katz_alpha > 0.0, "positive")}
     for name, (ok, rule) in rules.items():
         if not ok:
@@ -164,23 +162,6 @@ def _load_panel(cfg: RunConfig) -> PanelDataset:
     if player.size == 0:
         raise ConfigError("empty panel")
     return PanelDataset(player=player, week=week, columns=columns, meta=meta or {})
-
-
-def _resolve_release(cfg: RunConfig) -> int:
-    if cfg.release_week is not None:
-        return cfg.release_week
-    if cfg.window_start is not None:
-        return cfg.window_start
-    raise ConfigError("release_week is required (or set window_start)")
-
-
-def _tag_network(cfg: RunConfig, net):
-    release = _resolve_release(cfg)
-    scores = katz_centrality(net, release - 4, alpha=cfg.katz_alpha)
-    tags = tag_peers(net, scores, release, percentile=cfg.kp_percentile,
-                     min_age_weeks=cfg.min_age_weeks,
-                     connected_only=cfg.connected_only)
-    return tags, scores
 
 
 def _from_run_config(cls, cfg: RunConfig, **explicit):
@@ -238,10 +219,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_build_panel(cfg: RunConfig) -> int:
     _require(cfg, "edges", "achievements", "window_start", "window_end")
     panel_cfg = _from_run_config(PanelConfig, cfg)
+    tc = _from_run_config(TagConfig, cfg, release_week=(
+        cfg.window_start if cfg.release_week is None else cfg.release_week))
     net = _load_network(cfg)
     events = fileio.read_achievements_csv(cfg.achievements)
     schedule = derive_schedule(events, cfg.game, epoch_unix=cfg.epoch_unix)
-    tags, _ = _tag_network(cfg, net)
+    tags = tag_peers(net, katz_centrality(net, tc.reference_week, alpha=cfg.katz_alpha), tc)
     groups = assign_groups(net, schedule, cfg.n_per_group, cfg.seed,
                            horizon_week=cfg.window_end)
     panel = build_panel(net, schedule, tags, groups,
@@ -294,6 +277,8 @@ def cmd_heterogeneity(cfg: RunConfig) -> int:
 
 def cmd_playtime(cfg: RunConfig) -> int:
     _require(cfg, "achievements", "playtime", "covariates")
+    tc = _from_run_config(TagConfig, cfg, release_week=(
+        cfg.window_start if cfg.release_week is None else cfg.release_week))
     net = _load_network(cfg)
     events = fileio.read_achievements_csv(cfg.achievements)
     playtimes = fileio.read_playtime_csv(cfg.playtime)
@@ -301,7 +286,7 @@ def cmd_playtime(cfg: RunConfig) -> int:
     games = [cfg.game] + sorted(set(playtimes[1].tolist()) - {cfg.game})
     schedules = {g: derive_schedule(events, g, epoch_unix=cfg.epoch_unix)
                  for g in games}
-    tags, _ = _tag_network(cfg, net)
+    tags = tag_peers(net, katz_centrality(net, tc.reference_week, alpha=cfg.katz_alpha), tc)
     diagnostics = {}
     rows = build_playtime_crosssection(net, schedules, tags, playtimes,
                                        covariates, diagnostics)

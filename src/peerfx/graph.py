@@ -388,15 +388,46 @@ def katz_centrality(net: TemporalNetwork, t: int, alpha: float | None = None,
     return CentralityScores(net.nodes, x, int(t), alpha, iterations, converged)
 
 
+@dataclass(frozen=True)
+class TagConfig:
+    """The tag rule, read at ``reference_week = release_week - 4`` so that
+    tags are fixed before the release.  Key players score at or above the
+    ``kp_percentile`` Katz quantile (ties all included) over all nodes, or
+    over nodes with an edge when ``connected_only``.  Old friends are edges
+    at least ``min_age_weeks`` old then: formed by ``old_friend_cutoff``."""
+
+    release_week: int | None
+    kp_percentile: float = 0.99
+    min_age_weeks: int = 52
+    connected_only: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.kp_percentile < 1.0:
+            raise InvalidParameterError(
+                f"kp_percentile must be in (0, 1), got {self.kp_percentile!r}")
+        if self.release_week is None:
+            raise InvalidParameterError("release_week is required (or set window_start)")
+        if self.release_week < 4:
+            raise InvalidParameterError(
+                f"release_week must be at least 4, got {self.release_week!r}")
+
+    @property
+    def reference_week(self) -> int:
+        return int(self.release_week) - 4
+
+    @property
+    def old_friend_cutoff(self) -> int:
+        return self.reference_week - int(self.min_age_weeks)
+
+
 @dataclass
 class PeerTags:
-    """Key players and old-friend pairs, determined at the reference week.
+    """Key players and old-friend pairs under a :class:`TagConfig`.
 
-    The reference week defaults to ``release_week - 4`` (tags are fixed
-    before the panel window for exogeneity).  ``old_friend_pairs`` holds
-    player-id pairs with a < b; ``old_friend_cutoff`` is the formation-week
-    boundary the pairs satisfy, so an edge is an old-friend edge exactly
-    when it formed by the cutoff.
+    ``old_friend_pairs`` holds player-id pairs with a < b.  The other
+    fields record the rule's values: the reference week, the cutoff (an
+    edge is an old-friend edge exactly when it formed by it), the
+    percentile and the Katz threshold it gave.
     """
 
     key_players: np.ndarray
@@ -410,34 +441,21 @@ class PeerTags:
         return _lookup(self.key_players, player)[1]
 
 
-def tag_peers(net: TemporalNetwork, scores: CentralityScores, release_week: int,
-              percentile: float = 0.99, min_age_weeks: int = 52,
-              connected_only: bool = False) -> PeerTags:
-    """Tag key players (score >= empirical quantile) and old-friend edges.
-
-    Key players: nodes whose Katz score is at or above the ``percentile``
-    quantile (weak inequality — ties are all included).  By default the
-    quantile is taken over ALL nodes; ``connected_only=True`` restricts it to
-    nodes with at least one edge.  Old friends: edges formed at least
-    ``min_age_weeks`` before ``reference_week = release_week - 4``.
-    """
-    if release_week < 4:
-        raise InvalidParameterError("release_week must be >= 4 (reference = release - 4)")
-    if not 0.0 < percentile < 1.0:
-        raise InvalidParameterError("percentile must be in (0, 1)")
-    reference_week = int(release_week) - 4
+def tag_peers(net: TemporalNetwork, scores: CentralityScores,
+              cfg: TagConfig) -> PeerTags:
+    """Key players and old-friend edges of ``net`` by the rule ``cfg``, with
+    key players ranked by ``scores`` (Katz at ``cfg.reference_week``)."""
     vals = scores.values
-    if connected_only:
+    if cfg.connected_only:
         vals = vals[net.degrees() > 0]
     if vals.size == 0:
         threshold = np.inf
         kp = net.nodes[:0]
     else:
-        threshold = float(np.quantile(vals, percentile))
+        threshold = float(np.quantile(vals, cfg.kp_percentile))
         kp = net.nodes[scores.values >= threshold]
-    cutoff = reference_week - int(min_age_weeks)
     ai, bi, f = net.edge_array()
-    old = f <= cutoff
-    pairs = np.stack((net.nodes[ai[old]], net.nodes[bi[old]]), axis=1) if old.any() \
-        else np.zeros((0, 2), dtype=np.int64)
-    return PeerTags(kp, pairs, reference_week, cutoff, float(percentile), threshold)
+    old = f <= cfg.old_friend_cutoff
+    pairs = np.stack((net.nodes[ai[old]], net.nodes[bi[old]]), axis=1)
+    return PeerTags(kp, pairs, cfg.reference_week, cfg.old_friend_cutoff,
+                    float(cfg.kp_percentile), threshold)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationFailedError, InvalidParameterError
-from .graph import (DEFAULT_DEGREE_CAP, NEVER, TemporalNetwork, build_network,
-                    katz_centrality, tag_peers)
+from .graph import (DEFAULT_DEGREE_CAP, NEVER, TagConfig, TemporalNetwork,
+                    build_network, katz_centrality, tag_peers)
 from .panel import AdoptionSchedule, _first_friend_dummies, _key_player_mask
 
 
@@ -53,28 +53,24 @@ class SimConfig:
         if self.degree_dist == "powerlaw" and self.powerlaw_exponent <= 2.0:
             raise InvalidParameterError(
                 "powerlaw_exponent must exceed 2 (finite mean degree)")
-        if not 4 <= self.release_week < self.n_weeks:
-            raise InvalidParameterError(
-                "release_week must be >= 4 and before n_weeks")
+        if not 0.0 < self.key_player_share < 1.0:
+            raise InvalidParameterError("key_player_share must be in (0, 1)")
+        self.tags  # the tag rule checks the release week
+        if self.release_week >= self.n_weeks:
+            raise InvalidParameterError("release_week must be before n_weeks")
         if not 0.0 <= self.old_edge_fraction <= 1.0:
             raise InvalidParameterError("old_edge_fraction must be in [0, 1]")
         if self.formation_end is None:
             self.formation_end = self.release_week
         if not 0 <= self.formation_end < self.n_weeks:
             raise InvalidParameterError("formation_end must be in [0, n_weeks)")
-        if not 0.0 < self.key_player_share < 1.0:
-            raise InvalidParameterError("key_player_share must be in (0, 1)")
         if not self.game:
             raise InvalidParameterError("game must be a non-empty string")
 
     @property
-    def reference_week(self) -> int:
-        return self.release_week - 4
-
-    @property
-    def old_edge_cutoff(self) -> int:
-        # edges at least 52 weeks old when measured at the reference week
-        return self.reference_week - 52
+    def tags(self) -> TagConfig:
+        """The tag rule of the planted key players and old friends."""
+        return TagConfig(self.release_week, kp_percentile=1.0 - self.key_player_share)
 
 
 @dataclass
@@ -182,9 +178,9 @@ def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
     """Configuration-model friendship graph with edge formation weeks.
 
     An ``old_edge_fraction`` share of edges forms uniformly in
-    [0, old_edge_cutoff] (old enough to count as long-standing ties at the
-    release reference week); the rest form uniformly in
-    (old_edge_cutoff, formation_end].  When the cutoff falls before week 0
+    [0, cutoff], with cutoff = ``cfg.tags.old_friend_cutoff`` (old enough
+    to count as old friends); the rest form uniformly in
+    (cutoff, formation_end].  When the cutoff falls before week 0
     every edge is recent.
     """
     if rng is None:
@@ -192,7 +188,7 @@ def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
     deg = _draw_degrees(cfg, rng)
     left, right, dropped, rounds = _pair_stubs(deg, rng)
     m = left.size
-    cutoff = cfg.old_edge_cutoff
+    cutoff = cfg.tags.old_friend_cutoff
     if cutoff < 0 or cutoff >= cfg.formation_end:
         formed = rng.integers(0, cfg.formation_end + 1, m)
         n_old = 0
@@ -230,7 +226,7 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
     after wave d, and a wave that changes nothing ends the week.
 
     ``kp_mask`` marks key players by position (needed when ``beta_kp`` is
-    nonzero); old-friend edges come from ``cfg.old_edge_cutoff``.
+    nonzero); old-friend edges come from ``cfg.tags``.
     """
     P = net.n_nodes
     horizon = cfg.n_weeks - cfg.release_week
@@ -251,7 +247,7 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
             net.friend_sum(alpha), deg, out=np.zeros_like(alpha), where=deg > 0)
 
     nbr, formed = net.nbr, net.formed
-    old_slot = formed <= cfg.old_edge_cutoff
+    old_slot = formed <= cfg.tags.old_friend_cutoff
     # directed slots whose edge forms mid-horizon, in week order, and their owners
     late = np.flatnonzero(formed > cfg.release_week)
     late = late[np.argsort(formed[late], kind="stable")]
@@ -409,9 +405,8 @@ def run_simulation(cfg: SimConfig, truth: SimTruth | None = None,
     truth = truth or SimTruth()
     rng = np.random.default_rng(cfg.seed)
     net = gen_network(cfg, rng)
-    scores = katz_centrality(net, cfg.reference_week)
-    tags = tag_peers(net, scores, cfg.release_week,
-                     percentile=1.0 - cfg.key_player_share)
+    tc = cfg.tags
+    tags = tag_peers(net, katz_centrality(net, tc.reference_week), tc)
     kp_mask = _key_player_mask(net, tags)
     game_list = list(dict.fromkeys((cfg.game, *games)))
     schedules = {g: simulate_adoption(net, cfg, truth, rng, kp_mask=kp_mask, game=g)

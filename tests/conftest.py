@@ -123,10 +123,11 @@ def adoption_sweep_oracle(net, cfg, truth, rng, kp_mask):
     probability noise, the uniforms and the evaluation slots.  In slot
     order, a player who has not bought yet buys when their uniform is below
     base + beta / beta_kp / beta_of for having any owning friend / key-player
-    friend / old friend, over edges formed by this week.  A friend owns once
-    they bought in an earlier week or at an earlier slot of this one.  The
-    clip counts read the week-start hazards of the players not yet owning.
-    Homophily is not modelled.
+    friend / old friend (an edge formed by week release - 56, 52 weeks
+    before the reference week release - 4), over edges formed by this week.
+    A friend owns once they bought in an earlier week or at an earlier slot
+    of this one.  The clip counts read the week-start hazards of the players
+    not yet owning.  Homophily is not modelled.
     """
     assert truth.homophily == 0.0
     P = net.n_nodes
@@ -145,7 +146,7 @@ def adoption_sweep_oracle(net, cfg, truth, rng, kp_mask):
             owning = [(j, f) for j, f in adj[p] if f <= t and bought[j] is not None]
             return (base[p] + truth.beta * bool(owning)
                     + truth.beta_kp * any(kp_mask[j] for j, _ in owning)
-                    + truth.beta_of * any(f <= cfg.old_edge_cutoff for _, f in owning))
+                    + truth.beta_of * any(f <= cfg.release_week - 56 for _, f in owning))
 
         for p in range(P):
             if bought[p] is None:

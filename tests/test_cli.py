@@ -183,6 +183,29 @@ def test_numeric_setting_out_of_range_is_exit_2_before_any_input_is_read(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, release, message", [
+    ("build-panel", ["--window-start", "2", "--window-end", "10"],
+     "release_week must be at least 4, got 2"),
+    ("playtime", [], "release_week is required (or set window_start)"),
+    ("playtime", ["window_start = 2"], "release_week must be at least 4, got 2")],
+    ids=["build-panel-window-start-2", "playtime-no-release-week",
+         "playtime-window-start-2-config"])
+def test_resolved_release_week_is_exit_2_before_any_input_is_read(
+        tmp_path, capsys, command, release, message):
+    # with no release_week, build-panel and playtime tag at window_start
+    bad = tmp_path / "bad.csv"  # a malformed input: the setting must fail first
+    bad.write_text("not,a,known,header\n1,2\n")
+    inputs = ["--edges", str(bad), "--achievements", str(bad)]
+    if command == "playtime":
+        inputs += ["--playtime", str(bad), "--covariates", str(bad)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in release))
+        release = ["--config", str(cfg)]
+    assert main([command, *inputs, *release, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_error_is_exit_1(sim_dir, tmp_path, capsys):
     # alpha far beyond 1/spectral-radius: the centrality iteration diverges
     code = main(["katz", "--edges", str(sim_dir / "edges.csv"),
@@ -366,6 +389,38 @@ def test_estimate_keeps_steam_scale_ids(panel_path, tmp_path):
     for fname in ("estimates.csv", "report.txt"):
         assert (tmp_path / "small" / fname).read_bytes() == \
             (tmp_path / "steam" / fname).read_bytes()
+
+
+def test_steam_scale_ids_leave_every_chain_output_unchanged(sim_dir, tmp_path):
+    # the four inputs again with every id shifted past 2**53: no stage may
+    # round, reorder or merge players, so the outputs keep their bytes
+    steam = tmp_path / "steam_inputs"
+    steam.mkdir()
+    for name, id_columns in (("edges.csv", 2), ("achievements.csv", 1),
+                             ("playtime.csv", 1), ("covariates.csv", 1)):
+        header, *rows = (sim_dir / name).read_text().splitlines()
+        (steam / name).write_text("".join(
+            [header + "\n"] + [",".join([str(int(c) + STEAM_BASE) for c in cells[:id_columns]]
+                                       + cells[id_columns:]) + "\n"
+                               for cells in (row.split(",") for row in rows)]))
+    for inputs, name in ((sim_dir, "small"), (steam, "steam")):
+        out = tmp_path / name
+        panel = out / "panel.csv"
+        graph = ["--edges", str(inputs / "edges.csv"),
+                 "--achievements", str(inputs / "achievements.csv"), "--release-week", "10"]
+        assert main(["build-panel", *graph, "--out", str(panel), "--window-start", "10",
+                     "--window-end", "29", "--n-per-group", "60", "--seed", "3"]) == 0
+        assert main(["estimate", "--panel", str(panel), "--out", str(out)]) == 0
+        assert main(["heterogeneity", "--panel", str(panel), "--out", str(out)]) == 0
+        assert main(["playtime", *graph, "--playtime", str(inputs / "playtime.csv"),
+                     "--covariates", str(inputs / "covariates.csv"), "--out", str(out)]) == 0
+    small = fileio.read_panel_csv(tmp_path / "small" / "panel.csv")[0]["player"]
+    shifted = fileio.read_panel_csv(tmp_path / "steam" / "panel.csv")[0]["player"]
+    assert small.size and shifted.tolist() == [p + STEAM_BASE for p in small.tolist()]
+    for fname in ("estimates.csv", "report.txt", "heterogeneity.csv",
+                  "playtime_estimates.csv", "playtime_meta.json", "panel.csv.meta.json"):
+        assert (tmp_path / "small" / fname).read_bytes() == \
+            (tmp_path / "steam" / fname).read_bytes(), fname
 
 
 def test_estimate_outputs_match_api(panel_path, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 import peerfx
 from peerfx import (NEVER, DivergedError, InvalidParameterError, NotFoundError,
-                    build_network, katz_centrality, tag_peers, week_of_unix)
+                    TagConfig, build_network, katz_centrality, tag_peers, week_of_unix)
 from peerfx.graph import _lookup, second_degree_counts
 
 from conftest import (adjacency_oracle, katz_alpha_oracle, katz_dense_oracle,
@@ -314,7 +314,7 @@ def test_tag_peers_top_percentile_with_ties():
     edges = [(i, i + 1, 0) for i in range(99)]
     net = build_network(edges)
     scores = katz_centrality(net, 0, alpha=0.05)
-    tags = tag_peers(net, scores, release_week=60, percentile=0.99)
+    tags = tag_peers(net, scores, TagConfig(60, kp_percentile=0.99))
     assert tags.key_players.size >= 1
     threshold = np.quantile(scores.values, 0.99)
     expect = net.nodes[scores.values >= threshold]
@@ -324,19 +324,44 @@ def test_tag_peers_top_percentile_with_ties():
 def test_tag_peers_old_friend_boundary():
     net = build_network([(1, 2, 8), (2, 3, 9)])
     scores = katz_centrality(net, 56, alpha=0.1)
-    tags = tag_peers(net, scores, release_week=60, min_age_weeks=52)
+    tags = tag_peers(net, scores, TagConfig(60, min_age_weeks=52))
     # reference = 56, cutoff = 4: neither edge qualifies
     assert tags.old_friend_pairs.shape[0] == 0
     net2 = build_network([(1, 2, 0), (2, 3, 9)])
-    tags2 = tag_peers(net2, katz_centrality(net2, 56, alpha=0.1), 60)
+    tags2 = tag_peers(net2, katz_centrality(net2, 56, alpha=0.1), TagConfig(60))
     assert tags2.old_friend_pairs.tolist() == [[1, 2]]
 
 
 def test_tag_peers_release_too_early():
     net = build_network([(1, 2, 0)])
     scores = katz_centrality(net, 0, alpha=0.1)
-    with pytest.raises(InvalidParameterError):
-        tag_peers(net, scores, release_week=3)
+    with pytest.raises(InvalidParameterError, match="release_week must be at least 4, got 3"):
+        tag_peers(net, scores, TagConfig(3))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(release_week=60, kp_percentile=0.0), "kp_percentile must be in (0, 1), got 0.0"),
+    (dict(release_week=60, kp_percentile=1.0), "kp_percentile must be in (0, 1), got 1.0"),
+    (dict(release_week=60, kp_percentile=float("nan")), "kp_percentile must be in (0, 1), got nan"),
+    (dict(release_week=None), "release_week is required (or set window_start)"),
+    (dict(release_week=3), "release_week must be at least 4, got 3"),
+    # the percentile is checked first, then a missing, then an early release week
+    (dict(release_week=None, kp_percentile=1.5), "kp_percentile must be in (0, 1), got 1.5"),
+    (dict(release_week=2, kp_percentile=float("nan")), "kp_percentile must be in (0, 1), got nan"),
+], ids=["kp-0", "kp-1", "kp-nan", "release-missing", "release-3",
+        "kp-before-missing-release", "kp-before-early-release"])
+def test_tag_config_rules_and_their_order(kwargs, message):
+    with pytest.raises(InvalidParameterError) as err:
+        TagConfig(**kwargs)
+    assert str(err.value) == message
+
+
+def test_tag_config_derived_weeks():
+    tc = TagConfig(4)  # the earliest release week: the reference week is 0
+    assert (tc.reference_week, tc.old_friend_cutoff) == (0, -52)
+    assert TagConfig(4, min_age_weeks=0).old_friend_cutoff == 0
+    with pytest.raises(AttributeError):
+        tc.release_week = 60  # frozen
 
 
 def test_tag_peers_quantile_matches_sort_oracle():
@@ -345,7 +370,7 @@ def test_tag_peers_quantile_matches_sort_oracle():
         net = build_network(random_edges(rng, 40, 90))
         scores = katz_centrality(net, 30)
         pct = float(rng.uniform(0.5, 0.95))
-        tags = tag_peers(net, scores, 60, percentile=pct)
+        tags = tag_peers(net, scores, TagConfig(60, kp_percentile=pct))
         vals = np.sort(scores.values)
         thr = np.quantile(vals, pct)  # sort-based quantile
         expect = {int(p) for p, v in zip(net.nodes, scores.values) if v >= thr}
@@ -355,8 +380,8 @@ def test_tag_peers_quantile_matches_sort_oracle():
 def test_tag_peers_connected_only_flag():
     net = build_network([(0, 1, 0)], nodes=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
     scores = katz_centrality(net, 0, alpha=0.1)
-    all_nodes = tag_peers(net, scores, 60, percentile=0.5)
-    connected = tag_peers(net, scores, 60, percentile=0.5, connected_only=True)
+    all_nodes = tag_peers(net, scores, TagConfig(60, kp_percentile=0.5))
+    connected = tag_peers(net, scores, TagConfig(60, kp_percentile=0.5, connected_only=True))
     # isolated nodes drag the all-nodes quantile down
     assert connected.threshold >= all_nodes.threshold
 
@@ -367,8 +392,8 @@ def test_key_player_set_stable_under_tolerance():
         net = build_network(random_edges(rng, 50, 130))
         a = katz_centrality(net, 30, tol=1e-10)
         b = katz_centrality(net, 30, tol=1e-12)
-        ka = tag_peers(net, a, 60, percentile=0.99).key_players
-        kb = tag_peers(net, b, 60, percentile=0.99).key_players
+        ka = tag_peers(net, a, TagConfig(60, kp_percentile=0.99)).key_players
+        kb = tag_peers(net, b, TagConfig(60, kp_percentile=0.99)).key_players
         assert ka.tolist() == kb.tolist()
 
 

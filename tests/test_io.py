@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from peerfx import (AdoptionSchedule, GroupAssignment, PanelConfig, ParseError,
+from peerfx import (AdoptionSchedule, GroupAssignment, PanelConfig, ParseError, TagConfig,
                     build_network, build_panel, fileio, katz_centrality, tag_peers)
 
 from conftest import random_edges
@@ -336,8 +336,8 @@ def test_written_panel_reads_back_equal(tmp_path, aggregation):
     net = build_network(random_edges(rng, 60, 200, max_week=30))
     buyers = np.unique(rng.integers(0, 60, 25))
     sched = AdoptionSchedule("SMB", buyers, rng.integers(0, 40, buyers.size))
-    tags = tag_peers(net, katz_centrality(net, 26), 30, percentile=0.8,
-                     min_age_weeks=20)
+    tags = tag_peers(net, katz_centrality(net, 26),
+                     TagConfig(30, kp_percentile=0.8, min_age_weeks=20))
     sample = rng.choice(net.nodes, 20, replace=False)
     groups = GroupAssignment(np.sort(sample[:10]), np.sort(sample[10:]), 0, 10)
     panel = build_panel(net, sched, tags, groups, (27, 36),

@@ -20,6 +20,7 @@ from peerfx import (
     PanelConfig,
     PeerTags,
     SimConfig,
+    TagConfig,
     assign_groups,
     build_network,
     build_panel,
@@ -394,8 +395,7 @@ def test_panel_matches_neighbor_query_oracle(cfg, monkeypatch):
             "SMB", buyers, rng.integers(0, 45, buyers.size).astype(np.int64))
         purchases = sched.to_dict()
         scores = katz_centrality(net, t=26)
-        tags = tag_peers(net, scores, release_week=30, percentile=0.8,
-                         min_age_weeks=20)
+        tags = tag_peers(net, scores, TagConfig(30, kp_percentile=0.8, min_age_weeks=20))
         inhabited = [p for p in range(n) if p in adj]
         sample = rng.choice(inhabited, size=10, replace=False)
         groups = make_groups(sample[:6], sample[6:])
@@ -419,8 +419,8 @@ def test_panel_restricted_columns_nest():
     buyers = np.unique(rng.integers(0, 40, 18))
     sched = AdoptionSchedule(
         "SMB", buyers, rng.integers(0, 40, buyers.size).astype(np.int64))
-    tags = tag_peers(net, katz_centrality(net, 26), 30, percentile=0.7,
-                     min_age_weeks=15)
+    tags = tag_peers(net, katz_centrality(net, 26),
+                     TagConfig(30, kp_percentile=0.7, min_age_weeks=15))
     inhabited = np.intersect1d(net.nodes, np.arange(40))
     groups = make_groups(inhabited[:10], inhabited[10:20])
     panel = build_panel(net, sched, tags, groups, (27, 35),
@@ -625,7 +625,7 @@ def test_build_panel_memory_is_bounded_at_mean_degree_32():
     rng = np.random.default_rng(1)
     buyers = np.sort(rng.choice(net.nodes, 2000, replace=False))
     sched = AdoptionSchedule("SMB", buyers, rng.integers(40, 100, buyers.size))
-    tags = tag_peers(net, katz_centrality(net, 56), 60)
+    tags = tag_peers(net, katz_centrality(net, 56), TagConfig(60))
     sample = rng.choice(net.nodes, 3000, replace=False)
     groups = make_groups(sample[:1500], sample[1500:])
     paths = net.friend_sum(net.degrees())[net.indices_of(groups.all_players())]
@@ -774,8 +774,8 @@ def test_playtime_rows_match_scan_oracle(seed, ids):
     buyers = ids(np.unique(rng.integers(0, n, 60)))
     weeks = rng.integers(0, 40, buyers.size).astype(np.int64)
     sched = {"SMB": AdoptionSchedule("SMB", buyers, weeks)}
-    tags = tag_peers(net, katz_centrality(net, 26), 30, percentile=0.8,
-                     min_age_weeks=18)
+    tags = tag_peers(net, katz_centrality(net, 26),
+                     TagConfig(30, kp_percentile=0.8, min_age_weeks=18))
     pt_players = [ids(int(p)) for p in rng.choice(n, 50, replace=False)]
     pt_minutes = [int(rng.integers(1, 600)) for _ in pt_players]
     playtimes = dict(zip(pt_players, pt_minutes))
@@ -825,8 +825,8 @@ def test_steam_scale_ids_give_the_same_groups_and_panel():
         net = build_network([(ids(a), ids(b), w) for a, b, w in edges],
                             node_filter=ids(kept))
         sched = AdoptionSchedule("SMB", ids(buyers), weeks)
-        tags = tag_peers(net, katz_centrality(net, 16), 20, percentile=0.8,
-                         min_age_weeks=8)
+        tags = tag_peers(net, katz_centrality(net, 16),
+                         TagConfig(20, kp_percentile=0.8, min_age_weeks=8))
         groups = assign_groups(net, sched, 20, seed=4, horizon_week=24)
         runs.append((ids, net, groups, build_panel(net, sched, tags, groups, (20, 30))))
     (_, net_s, g_s, p_s), (big, net_b, g_b, p_b) = runs

@@ -53,8 +53,8 @@ def test_config_rejects_bad_values(bad):
 
 def test_config_derived_weeks():
     cfg = SimConfig(n_players=10, release_week=60, n_weeks=100)
-    assert cfg.reference_week == 56
-    assert cfg.old_edge_cutoff == 4
+    assert (cfg.tags.reference_week, cfg.tags.old_friend_cutoff) == (56, 4)
+    assert cfg.tags.kp_percentile == 1.0 - cfg.key_player_share
     assert cfg.formation_end == 60  # defaults to the release week
 
 
@@ -104,7 +104,7 @@ def test_formation_week_split():
     net = gen_network(cfg)
     _, _, formed = net.edge_array()
     assert formed.min() >= 0 and formed.max() <= 60
-    old_frac = (formed <= cfg.old_edge_cutoff).mean()
+    old_frac = (formed <= cfg.tags.old_friend_cutoff).mean()
     assert old_frac == pytest.approx(0.4, abs=0.02)
     assert net.diagnostics["old_edges"] == int((formed <= 4).sum())
 
@@ -254,7 +254,7 @@ def test_adoption_matches_player_by_player_sweep():
     a, b, f = net.edge_array()
     assert clip_low > 0
     assert 0.1 < sched.players.size / cfg.n_players < 0.9
-    assert (f <= cfg.old_edge_cutoff).any()
+    assert (f <= cfg.tags.old_friend_cutoff).any()
     # an owner was already exposing its friend when the edge formed
     assert ((f > cfg.release_week) & ((p[a] < f) | (p[b] < f))).any()
 
