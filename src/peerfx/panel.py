@@ -293,11 +293,15 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks):
     each, ``((row * n + k) << wbits | w2) << 3 | flags`` (row counted from
     the block's first), where ``wbits`` is the bit length of the latest
     formation week and flag bit v is set when the path's first hop passes
-    mask v.  One value sort orders them by (row, k, w2), and one direct-edge
-    lookup runs over the unique (row, k) pairs.  Each mask's earliest path
-    per pair is the first path in the pair's group carrying its flag, as a
-    masked subsequence of a sorted array is still sorted.  A block yields
-    its masks in order, pairs sorted by (row, k).
+    mask v.  One value sort orders them by (row, k, w2), and one scan marks
+    the first path of each unique (row, k) pair.  Those pairs are the
+    all-paths variant (a None mask) as they stand.  A masked variant's
+    earliest path per pair is the first path in the pair's group carrying
+    its flag, as a masked subsequence of a sorted array is still sorted.
+    The direct-edge lookup searches the block's level-1 (row, j) keys among
+    the unique pairs, the few in the many; a block whose paths all return
+    to their start has no pairs and yields empty arrays.  A block yields its
+    masks in order, pairs sorted by (row, k).
     """
     n = net.n_nodes
     max_week = int(net.formed.max()) if net.formed.size else 0
@@ -328,34 +332,40 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks):
         del notself
         key.sort()
 
-        # one direct-edge lookup over the unique (row, k) pairs
         pair = key >> shift
         head = np.ones(key.size, dtype=bool)
         np.not_equal(pair[1:], pair[:-1], out=head[1:])
         upair = pair[head]
         del pair
-        # direct-edge keys are sorted: rows ascend, neighbors ascend per row
-        at, hit = _lookup(b_rows * n + b_j, upair)
-        del upair
-        f_direct = np.full(hit.size, NEVER, dtype=np.int64)
-        f_direct[hit] = b_f[at[hit]]
+        # direct-edge weeks: the few level-1 (row, j) keys in the many
+        # unique (row, k) pairs; both are sorted and unique
+        at, hit = _lookup(upair, b_rows * n + b_j)
+        f_direct = np.full(upair.size, NEVER, dtype=np.int64)
+        f_direct[at[hit]] = b_f[hit]
         del at, hit
-        group = np.cumsum(head) - 1  # unique-pair index of each path
+        heads = np.flatnonzero(head)  # each unique pair's first path
+        # 1 + the unique-pair index of each path; int32 holds it, since 2**31
+        # paths would need 16 GiB of keys
+        group = np.cumsum(head, dtype=np.int32)
         del head
-        for v in range(len(masks)):
-            pos = np.flatnonzero(key & (1 << v))
-            pair = key[pos] >> shift
-            first = np.ones(pos.size, dtype=bool)
-            np.not_equal(pair[1:], pair[:-1], out=first[1:])
-            pos = pos[first]
-            row, k = np.divmod(pair[first], n)
+        for v, keep in enumerate(masks):
+            if keep is None:  # every path carries the flag: the unique pairs
+                pos, pair, fdir = heads, upair, f_direct
+            else:
+                pos = np.flatnonzero(key & (1 << v))
+                pair = key[pos] >> shift
+                first = np.ones(pos.size, dtype=bool)
+                np.not_equal(pair[1:], pair[:-1], out=first[1:])
+                pos, pair = pos[first], pair[first]
+                del first
+                fdir = f_direct[group[pos] - 1]
+            row, k = np.divmod(pair, n)
             row += start
             w2 = (key[pos] >> _SD_FLAG_BITS) & ((1 << wbits) - 1)
-            fdir = f_direct[group[pos]]
-            del pos, pair, first
+            del pos, pair
             yield v, row, k, w2, fdir
             del row, k, w2, fdir
-        del key, group, f_direct
+        del key, heads, group, upair, f_direct
 
 
 def _key_player_mask(net: TemporalNetwork, tags: PeerTags) -> np.ndarray:
@@ -366,19 +376,34 @@ def _key_player_mask(net: TemporalNetwork, tags: PeerTags) -> np.ndarray:
     return mask
 
 
+def _count_into(grid, cells, sign=1):
+    """``grid.flat[c] += sign`` for every c in ``cells``, repeats counted:
+    one ``np.bincount`` over the span from the lowest cell to the highest,
+    added in place to the int32 grid."""
+    if cells.size == 0:
+        return
+    lo = int(cells.min())
+    counts = np.bincount(cells - lo)
+    flat = grid.reshape(-1)[lo:lo + counts.size]
+    if sign > 0:
+        flat += counts
+    else:
+        flat -= counts
+
+
 def _interval_add(diff, rows, start, end, W):
     """diff-array += 1 on [start, end) per row, clipped to [0, W)."""
     start = np.maximum(start, 0)
     ok = start < np.minimum(end, W)
     r, s, e = rows[ok], start[ok], end[ok]
-    np.add.at(diff, (r, s), 1)
+    _count_into(diff, r * W + s)
     inside = e < W
-    np.add.at(diff, (r[inside], e[inside]), -1)
+    _count_into(diff, r[inside] * W + e[inside], -1)
 
 
 def _point_add(diff_or_grid, rows, col, W):
     ok = (col >= 0) & (col < W)
-    np.add.at(diff_or_grid, (rows[ok], col[ok]), 1)
+    _count_into(diff_or_grid, rows[ok] * W + col[ok])
 
 
 def _add_members(grid, denom, rows, start, end, p, lag, w0, W, absorbing):
@@ -498,16 +523,16 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
         return np.divide(g, d, out=np.zeros(g.shape, dtype=np.float64),
                          where=d > 0).ravel()
 
-    columns = {name: finalize(name) for name in names}
-    columns["y"] = y_grid[:, 1:].astype(np.float64).ravel()
     player_col = np.repeat(players, W - 1)
     week_col = np.tile(np.arange(w0 + 1, w1 + 1, dtype=np.int64), P)
-
+    keep = slice(None)
     if cfg.censor_after_purchase:
         limit = np.repeat(np.where(p_own == NEVER, np.int64(w1), p_own), W - 1)
         keep = week_col <= limit
         player_col, week_col = player_col[keep], week_col[keep]
-        columns = {k: v[keep] for k, v in columns.items()}
+    # one uncensored column alive at a time
+    columns = {name: finalize(name)[keep] for name in names}
+    columns["y"] = y_grid[:, 1:].astype(np.float64).ravel()[keep]
 
     meta = {
         "window": [w0, w1],

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import peerfx
 from peerfx import (NEVER, DivergedError, InvalidParameterError, NotFoundError,
                     TagConfig, build_network, katz_centrality, tag_peers, week_of_unix)
-from peerfx.graph import _lookup, second_degree_counts
+from peerfx.graph import _WIDE_SLOT, _lookup, second_degree_counts
 
 from conftest import (adjacency_oracle, katz_alpha_oracle, katz_dense_oracle,
                       neighbors_oracle, random_edges, second_degree_oracle)
@@ -194,6 +195,58 @@ def test_matvec_at_equals_sparse_product(t):
     assert np.array_equal(got, net.csr_at(t) @ v)
     if t < 0:
         assert not got.any()
+
+
+def slot_world():
+    """4,000 rows on a ring with 16 neighbours each (weeks 0-100), plus three
+    hubs of degree ~600: thousands of rows reach the first slots, which are
+    wider than ``_WIDE_SLOT``, and only the hubs reach the last ones."""
+    rng = np.random.default_rng(37)
+    n = 4000
+    ring = np.arange(n)
+    a = np.concatenate([ring] * 8)
+    b = np.concatenate([(ring + d) % n for d in range(1, 9)])
+    hubs = np.repeat([0, 1500, 3000], 600)
+    fans = rng.integers(0, n, hubs.size)
+    a, b = np.concatenate((a, hubs)), np.concatenate((b, fans))
+    return build_network((a, b, rng.integers(0, 101, a.size)))
+
+
+def mixed_vector(rng, n):
+    # mixed magnitudes and signs make the summation order visible in the
+    # last bits; -0.0 checks that an empty row stays +0.0 as in CSR
+    v = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 13, n)
+    v[::9] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("t", [50, -1, int(NEVER) - 1])
+def test_matvec_at_slot_and_tail_paths_equal_sparse_product(t):
+    net = slot_world()
+    deg = np.diff(net.csr_at(t).indptr)
+    if t >= 0:  # both paths run: wide slots and a long tail of narrow ones
+        width = (deg[:, None] > np.arange(deg.max())).sum(axis=0)  # rows per slot
+        assert (width >= _WIDE_SLOT).sum() >= 8
+        assert (width < _WIDE_SLOT).sum() >= 250
+    v = mixed_vector(np.random.default_rng(39), net.n_nodes)
+    got = net.matvec_at(t)(v)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, net.csr_at(t) @ v)
+    assert not np.signbit(got[deg == 0]).any()
+    if t < 0:
+        assert not got.any()
+
+
+def test_friend_sum_bool_and_int64_on_the_slot_path():
+    net = slot_world()
+    A = net.csr_at(int(NEVER) - 1)
+    rng = np.random.default_rng(41)
+    flags = rng.random(net.n_nodes) < 0.3
+    counts = rng.integers(-2**40, 2**40, net.n_nodes)
+    for values in (flags, counts, net.degrees()):
+        got = net.friend_sum(values)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, A @ values.astype(np.float64))
 
 
 def test_degree_cap_enforced():
@@ -431,6 +484,24 @@ def test_build_is_order_free_and_matches_oracle(seed):
             got = dict(zip(net.nodes[net.nbr[lo:hi]].tolist(), net.formed[lo:hi].tolist()))
             assert list(got) == sorted(adj[i])
             assert got == adj[i]
+
+
+def test_build_network_traced_memory_at_mean_degree_32():
+    # 320,000 records on 20,000 nodes, the dense benchmark's size.  A dedupe
+    # sort followed by a second CSR sort peaked at ~53 MiB of traced memory;
+    # one sort of the symmetric keys peaks at ~18 MiB.
+    rng = np.random.default_rng(43)
+    m = 320_000
+    cols = (rng.integers(0, 20_000, m), rng.integers(0, 20_000, m),
+            rng.integers(0, 100, m))
+    tracemalloc.start()
+    try:
+        net = build_network(cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n_edges > 300_000
+    assert peak < 30 * 2**20, f"build_network traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_formation_week_at_never_is_fatal():

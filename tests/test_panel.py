@@ -569,6 +569,68 @@ def test_sd_pairs_empty_block_and_unset_flag():
     assert got[0] == got[2] == ([0], [2], [4], [int(NEVER)])
 
 
+def test_sd_pairs_block_whose_paths_all_return_to_their_start(monkeypatch):
+    # 5-6 is a pair of degree-1 nodes: every two-hop path from either goes
+    # back to where it started, so its block has no (row, k) pair at all
+    net = build_network([(1, 2, 0), (2, 3, 4), (3, 4, 1), (5, 6, 2)])
+    masks = (None, lambda j, f: np.ones(j.size, dtype=bool), lambda j, f: f <= 3)
+    empty = [([], [], [], [])] * 3
+    assert run_sd_pairs(net, net.indices_of([5]), masks) == empty
+    assert run_sd_pairs(net, net.indices_of([5, 6]), masks) == empty
+    # one row per block: the empty blocks between others change nothing
+    sample_idx = net.indices_of([1, 5, 6, 4])
+    default = run_sd_pairs(net, sample_idx, masks)
+    monkeypatch.setattr(panel_mod, "_SD_PATH_BUDGET", 1)
+    assert run_sd_pairs(net, sample_idx, masks) == default
+    keeps = (lambda i, j, f: True, lambda i, j, f: True, lambda i, j, f: f <= 3)
+    for (row, k, w2, fdir), keep in zip(default, keeps):
+        want = sd_pairs_oracle(net, sample_idx, keep)
+        assert list(zip(row, k)) == sorted(want)
+        assert list(zip(w2, fdir)) == [want[rk] for rk in sorted(want)]
+    assert default[0][:2] == ([0, 3], [2, 1])  # 1 -> 3 and 4 -> 2
+
+
+def add_at_oracle(W, cells, kind):
+    """The diff or point grid by one Python loop over ``(row, start, end)`` or
+    ``(row, col)`` cells."""
+    grid = np.zeros((max((c[0] for c in cells), default=0) + 2, W), dtype=np.int32)
+    for cell in cells:
+        if kind == "interval":
+            r, start, end = cell
+            lo = max(start, 0)
+            if lo < min(end, W):
+                grid[r, lo] += 1
+                if end < W:
+                    grid[r, end] -= 1
+        elif 0 <= cell[1] < W:
+            grid[cell[0], cell[1]] += 1
+    return grid
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 2000])
+def test_interval_and_point_add_match_a_loop(n):
+    # starts below 0, ends at and past W, empty spells, repeated cells and
+    # rows in any order, onto a grid that already holds counts
+    rng = np.random.default_rng(47 + n)
+    W = 12
+    rows = rng.integers(0, 40, n)
+    start = rng.integers(-5, W + 3, n)
+    end = start + rng.integers(-2, W + 4, n)
+    end[::7] = NEVER
+    for kind in ("interval", "point"):
+        cells = (list(zip(rows.tolist(), start.tolist(), end.tolist())) if kind == "interval"
+                 else list(zip(rows.tolist(), start.tolist())))
+        want = add_at_oracle(W, cells, kind)
+        base = rng.integers(-3, 4, want.shape).astype(np.int32)
+        grid = base.copy()
+        if kind == "interval":
+            panel_mod._interval_add(grid, rows, start, end, W)
+        else:
+            panel_mod._point_add(grid, rows, start, W)
+        assert grid.dtype == np.int32
+        assert np.array_equal(grid - base, want), kind
+
+
 def test_sd_key_budget_at_steam_scale():
     # Checked on the rule alone: a 1.1e8-node network is never allocated.
     n = 110_000_000
