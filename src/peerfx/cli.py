@@ -5,6 +5,11 @@ comment); any CLI flag overrides its config key.  Outputs are written
 atomically, so a killed run never leaves a half-written file at the final
 path, and a fixed seed gives byte-identical files across runs.
 
+A setting the library reads is declared once, on the dataclass that reads
+it: ``SimConfig``, ``SimTruth``, ``PanelConfig`` or ``TagConfig``.  Its flag,
+config key, default and check come from there, and ``--help`` prints the
+default.  ``_CliSettings`` declares the settings no library class has.
+
 Exit codes: 0 success, 1 toolkit/estimation failure (the error class name is
 part of the message), 2 configuration problems, a setting outside its
 documented values included.
@@ -29,8 +34,8 @@ from .simulate import SimConfig, SimTruth, run_simulation
 
 
 @dataclass
-class RunConfig:
-    """Every tunable of every subcommand, with its documented default."""
+class _CliSettings:
+    """The settings no library class reads, with their defaults."""
 
     # paths
     edges: str | None = None
@@ -40,50 +45,17 @@ class RunConfig:
     node_filter: str | None = None
     panel: str | None = None
     out: str | None = None
-    # calendar and identifiers
-    epoch_unix: int = 0
-    game: str = "SMB"
+    # calendar: release_week unset is 60 in simulate, window_start elsewhere
     window_start: int | None = None
     window_end: int | None = None
     release_week: int | None = None
     week: int | None = None
-    # panel construction
-    outcome_mode: str = "absorbing"
-    aggregation: str = "any"
-    censor_after_purchase: bool = False
+    # sampling, centrality, estimation and the simulated games
     n_per_group: int = 5000
-    # centrality and peer tags
     katz_alpha: float | None = None
-    kp_percentile: float = 0.99
-    min_age_weeks: int = 52
-    connected_only: bool = False
-    # estimation
     method: str = "2sls"
     threads: int = 1
-    # simulation: network and calendar shape
-    n_players: int = 20000
-    mean_degree: float = 2.15
-    degree_dist: str = "poisson"
-    powerlaw_exponent: float = 2.5
-    n_weeks: int = 100
-    old_edge_fraction: float = 0.5
-    formation_end: int | None = None
-    key_player_share: float = 0.01
     sim_games: str = "SMB,NV"
-    # simulation: planted truth
-    beta: float = 0.05
-    beta_kp: float = 0.0
-    beta_of: float = 0.0
-    baseline_hazard: float = 5e-4
-    sigma_alpha: float = 1e-4
-    prob_noise_sd: float = 0.0
-    homophily: float = 0.0
-    gamma_kp: float = 0.0
-    gamma_of: float = 0.0
-    gamma_nofriend: float = 0.0
-    playtime_mu: float = 2.8
-    noise_sd: float = 1.0
-    seed: int = 0
 
 
 def _bool(text: str) -> bool:
@@ -91,10 +63,20 @@ def _bool(text: str) -> bool:
             "false": False, "0": False, "no": False, "off": False}[text.lower()]
 
 
-# value parser per RunConfig annotation; a new annotation fails at import
+# value parser per annotation; a new annotation fails at import
 _PARSERS = {"str": str, "str | None": str, "int": int, "int | None": int,
             "float": float, "float | None": float, "bool": _bool}
-_FIELD_KINDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
+_NOT_TEXT = ("week_effects", "playtime_loadings")  # Python API only
+_FIELDS = {}  # name -> Field; the CLI declaration of a name wins
+for _f in [f for cls in (_CliSettings, SimConfig, SimTruth, PanelConfig, TagConfig)
+           for f in dataclasses.fields(cls) if f.name not in _NOT_TEXT]:
+    _FIELDS.setdefault(_f.name, _f)
+RunConfig = dataclasses.make_dataclass(  # a field without a default fails here
+    "RunConfig", [(f.name, f.type, dataclasses.field(default=f.default))
+                  for f in _FIELDS.values()],
+    namespace={"__module__": __name__, "__doc__": "Every setting of every "
+               "subcommand, declared once: on _CliSettings or the library class."})
+_FIELD_KINDS = {name: _PARSERS[f.type] for name, f in _FIELDS.items()}
 
 
 def parse_config_file(path: str) -> dict:
@@ -176,6 +158,12 @@ def _from_run_config(cls, cfg: RunConfig, **explicit):
         raise ConfigError(str(err)) from None
 
 
+def _tag_config(cfg: RunConfig) -> TagConfig:
+    """The tag rule; an unset release week is ``window_start``."""
+    return _from_run_config(TagConfig, cfg, release_week=(
+        cfg.window_start if cfg.release_week is None else cfg.release_week))
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     games = tuple(g.strip() for g in cfg.sim_games.split(",") if g.strip())
     sim_cfg = _from_run_config(
@@ -219,8 +207,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_build_panel(cfg: RunConfig) -> int:
     _require(cfg, "edges", "achievements", "window_start", "window_end")
     panel_cfg = _from_run_config(PanelConfig, cfg)
-    tc = _from_run_config(TagConfig, cfg, release_week=(
-        cfg.window_start if cfg.release_week is None else cfg.release_week))
+    tc = _tag_config(cfg)
     net = _load_network(cfg)
     events = fileio.read_achievements_csv(cfg.achievements)
     schedule = derive_schedule(events, cfg.game, epoch_unix=cfg.epoch_unix)
@@ -277,8 +264,7 @@ def cmd_heterogeneity(cfg: RunConfig) -> int:
 
 def cmd_playtime(cfg: RunConfig) -> int:
     _require(cfg, "achievements", "playtime", "covariates")
-    tc = _from_run_config(TagConfig, cfg, release_week=(
-        cfg.window_start if cfg.release_week is None else cfg.release_week))
+    tc = _tag_config(cfg)
     net = _load_network(cfg)
     events = fileio.read_achievements_csv(cfg.achievements)
     playtimes = fileio.read_playtime_csv(cfg.playtime)
@@ -344,26 +330,27 @@ def cmd_series(cfg: RunConfig) -> int:
     return 0
 
 
+# command: (cmd_* function, help, settings it reads); a class stands for its
+# fields, exactly the ones the function passes through _from_run_config
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "build-panel": cmd_build_panel,
-    "estimate": cmd_estimate,
-    "heterogeneity": cmd_heterogeneity,
-    "playtime": cmd_playtime,
-    "katz": cmd_katz,
-    "series": cmd_series,
+    "simulate": (cmd_simulate, "generate a synthetic world with known ground truth",
+                 ("out", "sim_games", SimConfig, SimTruth)),
+    "build-panel": (cmd_build_panel, "assemble the instrumented player-week panel",
+                    ("edges", "achievements", "node_filter", "out", "game", "epoch_unix",
+                     "window_start", "window_end", "n_per_group", "katz_alpha", "seed",
+                     PanelConfig, TagConfig)),
+    "estimate": (cmd_estimate, "OLS / reduced form / first stage / 2SLS on a panel",
+                 ("panel", "out", "threads")),
+    "heterogeneity": (cmd_heterogeneity, "key-player and old-friend effect decomposition",
+                      ("panel", "out", "method", "threads")),
+    "playtime": (cmd_playtime, "cross-sectional log-playtime regressions",
+                 ("edges", "achievements", "playtime", "covariates", "node_filter", "out",
+                  "game", "epoch_unix", "katz_alpha", "threads", TagConfig)),
+    "katz": (cmd_katz, "Katz centrality scores on a weekly snapshot",
+             ("edges", "node_filter", "out", "week", "katz_alpha", "epoch_unix")),
+    "series": (cmd_series, "weekly purchase counts over a window",
+               ("achievements", "out", "game", "epoch_unix", "window_start", "window_end")),
 }
-
-
-def _add_flag(parser, name, kind, help_text=""):
-    flag = "--" + name.replace("_", "-")
-    default = getattr(RunConfig(), name)
-    note = f"{help_text} (default: {default})" if help_text else f"default: {default}"
-    if kind is _bool:
-        parser.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction,
-                            default=None, help=note)
-    else:
-        parser.add_argument(flag, dest=name, type=kind, default=None, help=note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,40 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Peer-effects pipeline: simulate data, build instrumented "
                     "panels, and estimate adoption spillovers.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, fields):
-        p = sub.add_parser(name, help=help_text)
+    defaults = RunConfig()
+    for command, (_, help_text, settings) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None,
                        help="flat key=value config file; flags override keys")
-        for field_name in fields:
-            _add_flag(p, field_name, _FIELD_KINDS[field_name])
-        return p
-
-    add("simulate", "generate a synthetic world with known ground truth",
-        ["out", "seed", "game", "sim_games", "epoch_unix", "n_players",
-         "mean_degree", "degree_dist", "powerlaw_exponent", "n_weeks",
-         "release_week", "old_edge_fraction", "formation_end",
-         "key_player_share", "beta", "beta_kp", "beta_of", "baseline_hazard",
-         "sigma_alpha", "prob_noise_sd", "homophily", "gamma_kp", "gamma_of",
-         "gamma_nofriend", "playtime_mu", "noise_sd"])
-    add("build-panel", "assemble the instrumented player-week panel",
-        ["edges", "achievements", "node_filter", "out", "game", "epoch_unix",
-         "window_start", "window_end", "release_week", "outcome_mode",
-         "aggregation", "censor_after_purchase", "n_per_group", "katz_alpha",
-         "kp_percentile", "min_age_weeks", "connected_only", "seed"])
-    add("estimate", "OLS / reduced form / first stage / 2SLS on a panel",
-        ["panel", "out", "threads"])
-    add("heterogeneity", "key-player and old-friend effect decomposition",
-        ["panel", "out", "method", "threads"])
-    add("playtime", "cross-sectional log-playtime regressions",
-        ["edges", "achievements", "playtime", "covariates", "node_filter",
-         "out", "game", "epoch_unix", "release_week", "katz_alpha",
-         "kp_percentile", "min_age_weeks", "connected_only", "threads"])
-    add("katz", "Katz centrality scores on a weekly snapshot",
-        ["edges", "node_filter", "out", "week", "katz_alpha", "epoch_unix"])
-    add("series", "weekly purchase counts over a window",
-        ["achievements", "out", "game", "epoch_unix", "window_start",
-         "window_end"])
+        for name in [n for s in settings for n in ([s] if isinstance(s, str) else [
+                f.name for f in dataclasses.fields(s) if f.name in _FIELD_KINDS])]:
+            kind = _FIELD_KINDS[name]
+            how = {"action": argparse.BooleanOptionalAction} if kind is _bool else {"type": kind}
+            p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                           help=f"default: {getattr(defaults, name)}", **how)
     return parser
 
 
@@ -415,7 +379,7 @@ def main(argv=None) -> int:
                  if k not in ("command", "config")}
     try:
         cfg = load_config(args.config, overrides)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

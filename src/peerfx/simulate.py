@@ -16,7 +16,7 @@ changed decisions find it exactly, without walking players in Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class SimConfig:
             raise InvalidParameterError("mean_degree must be in [0, n_players)")
         if self.degree_dist not in ("poisson", "powerlaw"):
             raise InvalidParameterError(f"unknown degree_dist {self.degree_dist!r}")
-        if self.degree_dist == "powerlaw" and self.powerlaw_exponent <= 2.0:
+        if self.degree_dist == "powerlaw" and not self.powerlaw_exponent > 2.0:
             raise InvalidParameterError(
                 "powerlaw_exponent must exceed 2 (finite mean degree)")
         if not 0.0 < self.key_player_share < 1.0:
@@ -101,6 +101,20 @@ class SimTruth:
     playtime_loadings: dict = field(default_factory=lambda: {
         "num_games": 0.01, "num_groups": 0.02,
         "start_week": -0.005, "num_friends": 0.01})
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
+                raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
+            if f.name in ("sigma_alpha", "prob_noise_sd", "noise_sd") and value < 0.0:
+                raise InvalidParameterError(
+                    f"{f.name} must be non-negative, got {value!r}")
+        effects = () if self.week_effects is None else self.week_effects
+        for name, values in (("week_effects", effects),
+                             ("playtime_loadings", [*self.playtime_loadings.values()])):
+            if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
+                raise InvalidParameterError(f"{name} must all be finite")
 
     def to_dict(self) -> dict:
         out = dict(self.__dict__)

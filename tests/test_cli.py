@@ -1,6 +1,7 @@
 """End-to-end command-line tests: config handling, exit codes, file outputs,
 and byte-level determinism.  One report is frozen as a golden file."""
 
+import argparse
 import dataclasses
 import filecmp
 import gzip
@@ -16,8 +17,10 @@ import numpy as np
 import pytest
 
 from peerfx import fileio, tsls_fit
-from peerfx.cli import RunConfig, load_config, main, parse_config_file
+from peerfx.cli import RunConfig, build_parser, load_config, main, parse_config_file
 from peerfx.estimator import DesignSpec
+from peerfx.graph import TagConfig
+from peerfx.panel import PanelConfig
 from peerfx.report import format_cell
 from peerfx.simulate import SimConfig, SimTruth, run_simulation
 
@@ -76,6 +79,106 @@ def test_config_file_parses_comments_and_overrides(tmp_path):
     assert cfg.n_per_group == RunConfig().n_per_group
 
 
+# every subcommand's options as (option, default, help text), frozen from the
+# hand-written flag lists the parser had before it read them off the dataclasses
+FROZEN_FLAGS = {
+    "simulate": ("generate a synthetic world with known ground truth", {
+        ("--baseline-hazard", 0.0005, "default: 0.0005"),
+        ("--beta", 0.05, "default: 0.05"), ("--beta-kp", 0.0, "default: 0.0"),
+        ("--beta-of", 0.0, "default: 0.0"),
+        ("--degree-dist", "poisson", "default: poisson"),
+        ("--epoch-unix", 0, "default: 0"), ("--formation-end", None, "default: None"),
+        ("--game", "SMB", "default: SMB"), ("--gamma-kp", 0.0, "default: 0.0"),
+        ("--gamma-nofriend", 0.0, "default: 0.0"), ("--gamma-of", 0.0, "default: 0.0"),
+        ("--homophily", 0.0, "default: 0.0"),
+        ("--key-player-share", 0.01, "default: 0.01"),
+        ("--mean-degree", 2.15, "default: 2.15"), ("--n-players", 20000, "default: 20000"),
+        ("--n-weeks", 100, "default: 100"), ("--noise-sd", 1.0, "default: 1.0"),
+        ("--old-edge-fraction", 0.5, "default: 0.5"), ("--out", None, "default: None"),
+        ("--playtime-mu", 2.8, "default: 2.8"),
+        ("--powerlaw-exponent", 2.5, "default: 2.5"),
+        ("--prob-noise-sd", 0.0, "default: 0.0"),
+        ("--release-week", None, "default: None"), ("--seed", 0, "default: 0"),
+        ("--sigma-alpha", 0.0001, "default: 0.0001"),
+        ("--sim-games", "SMB,NV", "default: SMB,NV"),
+    }),
+    "build-panel": ("assemble the instrumented player-week panel", {
+        ("--achievements", None, "default: None"),
+        ("--aggregation", "any", "default: any"),
+        ("--censor-after-purchase", False, "default: False"),
+        ("--connected-only", False, "default: False"), ("--edges", None, "default: None"),
+        ("--epoch-unix", 0, "default: 0"), ("--game", "SMB", "default: SMB"),
+        ("--katz-alpha", None, "default: None"),
+        ("--kp-percentile", 0.99, "default: 0.99"), ("--min-age-weeks", 52, "default: 52"),
+        ("--n-per-group", 5000, "default: 5000"), ("--node-filter", None, "default: None"),
+        ("--out", None, "default: None"),
+        ("--outcome-mode", "absorbing", "default: absorbing"),
+        ("--release-week", None, "default: None"), ("--seed", 0, "default: 0"),
+        ("--window-end", None, "default: None"), ("--window-start", None, "default: None"),
+    }),
+    "estimate": ("OLS / reduced form / first stage / 2SLS on a panel", {
+        ("--out", None, "default: None"), ("--panel", None, "default: None"),
+        ("--threads", 1, "default: 1"),
+    }),
+    "heterogeneity": ("key-player and old-friend effect decomposition", {
+        ("--method", "2sls", "default: 2sls"), ("--out", None, "default: None"),
+        ("--panel", None, "default: None"), ("--threads", 1, "default: 1"),
+    }),
+    "playtime": ("cross-sectional log-playtime regressions", {
+        ("--achievements", None, "default: None"),
+        ("--connected-only", False, "default: False"),
+        ("--covariates", None, "default: None"), ("--edges", None, "default: None"),
+        ("--epoch-unix", 0, "default: 0"), ("--game", "SMB", "default: SMB"),
+        ("--katz-alpha", None, "default: None"),
+        ("--kp-percentile", 0.99, "default: 0.99"), ("--min-age-weeks", 52, "default: 52"),
+        ("--node-filter", None, "default: None"), ("--out", None, "default: None"),
+        ("--playtime", None, "default: None"), ("--release-week", None, "default: None"),
+        ("--threads", 1, "default: 1"),
+    }),
+    "katz": ("Katz centrality scores on a weekly snapshot", {
+        ("--edges", None, "default: None"), ("--epoch-unix", 0, "default: 0"),
+        ("--katz-alpha", None, "default: None"), ("--node-filter", None, "default: None"),
+        ("--out", None, "default: None"), ("--week", None, "default: None"),
+    }),
+    "series": ("weekly purchase counts over a window", {
+        ("--achievements", None, "default: None"), ("--epoch-unix", 0, "default: 0"),
+        ("--game", "SMB", "default: SMB"), ("--out", None, "default: None"),
+        ("--window-end", None, "default: None"), ("--window-start", None, "default: None"),
+    }),
+}
+
+
+def test_every_subcommand_keeps_its_options_defaults_and_help():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {c.dest: c.help for c in sub._choices_actions} == \
+        {name: text for name, (text, _) in FROZEN_FLAGS.items()}
+    defaults = RunConfig()
+    config = ("--config", None, "flat key=value config file; flags override keys")
+    for name, (_, flags) in FROZEN_FLAGS.items():
+        got = {(a.option_strings[0], getattr(defaults, a.dest, a.default), a.help)
+               for a in sub.choices[name]._actions if a.dest != "help"}
+        assert got == flags | {config}, name
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # release_week stays unset: 60 in simulate, window_start elsewhere
+    defaults = RunConfig()
+    library = {}
+    for cls in (SimConfig, SimTruth, PanelConfig, TagConfig):
+        for f in dataclasses.fields(cls):
+            library.setdefault(f.name, []).append(f.default)
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert run_fields - set(library) == {
+        "edges", "achievements", "playtime", "covariates", "node_filter", "panel",
+        "out", "window_start", "window_end", "week", "n_per_group", "katz_alpha",
+        "method", "threads", "sim_games"}
+    assert set(library) - run_fields == {"week_effects", "playtime_loadings"}
+    assert defaults.release_week is None
+    for name in run_fields & set(library) - {"release_week"}:
+        assert library[name] == [getattr(defaults, name)] * len(library[name]), name
+
+
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("bogus_key = 1\n")
@@ -127,6 +230,25 @@ def test_rejected_setting_is_exit_2_before_any_input_is_read(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(value) in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--playtime-mu", "nan"], "playtime_mu must be finite, got nan"),
+    (["--beta", "nan"], "beta must be finite, got nan"),
+    (["--baseline-hazard", "nan"], "baseline_hazard must be finite, got nan"),
+    (["--noise-sd", "-1"], "noise_sd must be non-negative, got -1.0"),
+    (["--sigma-alpha", "-1"], "sigma_alpha must be non-negative, got -1.0"),
+    (["--prob-noise-sd", "-1"], "prob_noise_sd must be non-negative, got -1.0"),
+    (["--degree-dist", "powerlaw", "--powerlaw-exponent", "nan"],
+     "powerlaw_exponent must exceed 2 (finite mean degree)")],
+    ids=["playtime-mu-nan", "beta-nan", "baseline-hazard-nan", "noise-sd-negative",
+         "sigma-alpha-negative", "prob-noise-sd-negative", "powerlaw-exponent-nan"])
+def test_simulate_rejects_a_non_finite_or_negative_setting_before_writing(
+        tmp_path, capsys, flags, message):
+    out = tmp_path / "o"
+    assert main(["simulate", "--n-players", "300", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, threads, via_config", [

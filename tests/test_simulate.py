@@ -147,6 +147,22 @@ def test_week_effects_length_checked():
         simulate_adoption(net, cfg, truth, np.random.default_rng(0))
 
 
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"gamma_kp": float("inf")}, "gamma_kp must be finite, got inf"),
+    ({"homophily": float("nan")}, "homophily must be finite, got nan"),
+    ({"week_effects": (0.0, float("nan"))}, "week_effects must all be finite"),
+    ({"playtime_loadings": {"num_games": float("-inf")}},
+     "playtime_loadings must all be finite"),
+    ({"noise_sd": -0.5}, "noise_sd must be non-negative, got -0.5")],
+    ids=["gamma-kp-inf", "homophily-nan", "week-effects-nan", "loading-inf",
+         "noise-sd-negative"])
+def test_sim_truth_rejects_non_finite_and_negative_settings(kwargs, message):
+    with pytest.raises(InvalidParameterError) as err:
+        SimTruth(**kwargs)
+    assert str(err.value) == message
+    SimTruth(sigma_alpha=0.0, prob_noise_sd=0.0, noise_sd=0.0, week_effects=(0.1,))
+
 def test_week_effects_move_the_hazard():
     cfg = small_cfg(n_players=3000, seed=10)
     horizon = cfg.n_weeks - cfg.release_week
