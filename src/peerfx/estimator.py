@@ -365,7 +365,10 @@ def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
                 f"instrument matrix numerically singular (sigma_min={smin:.2e})")
     Zty = _crossprod(Z, y[:, None], threads=threads)[:, 0]
     coef = _solve_pivoted(ZtX, Zty, terms)
-    resid = y - X @ coef
+    # in place: a freed ``X @ coef`` would leave a row-sized heap hole that the
+    # sandwich's row temporaries fit or miss by layout luck (x2: 74.2 or 75.7 MB)
+    resid = X @ coef
+    np.subtract(y, resid, out=resid)
 
     # dense 0..G-1 codes; with no cluster each row is its own (HC1)
     codes = (np.arange(n, dtype=np.int64) if spec.cluster is None

@@ -441,7 +441,8 @@ class TagConfig:
     tags are fixed before the release.  Key players score at or above the
     ``kp_percentile`` Katz quantile (ties all included) over all nodes, or
     over nodes with an edge when ``connected_only``.  Old friends are edges
-    at least ``min_age_weeks`` old then: formed by ``old_friend_cutoff``."""
+    at least ``min_age_weeks`` (>= 0) old then: formed by ``old_friend_cutoff``,
+    never after the reference week."""
 
     release_week: int | None
     kp_percentile: float = 0.99
@@ -452,6 +453,9 @@ class TagConfig:
         if not 0.0 < self.kp_percentile < 1.0:
             raise InvalidParameterError(
                 f"kp_percentile must be in (0, 1), got {self.kp_percentile!r}")
+        if self.min_age_weeks < 0:
+            raise InvalidParameterError(
+                f"min_age_weeks must be non-negative, got {self.min_age_weeks!r}")
         if self.release_week is None:
             raise InvalidParameterError("release_week is required (or set window_start)")
         if self.release_week < 4:

@@ -236,10 +236,11 @@ def expected_row_count(n_players: int, window) -> int:
 _SD_FLAG_BITS = 3
 # Two-hop paths expanded at once (a single row may exceed it): bounds the
 # packed keys of a block and each array that builds them.  About ten int64
-# arrays of this length are alive at once, ~40 MB at 500,000; at mean degree
-# 32 a larger budget only raises build-panel's peak memory (8M: 294 MB against
-# 95 MB) and does not make it faster, and below 500,000 other stages set the peak.
-_SD_PATH_BUDGET = 500_000
+# arrays of this length are alive at once, ~20 MB at 250,000.  It is the knee
+# at mean degree 32: a larger budget raises build-panel's peak memory (500k:
+# 87 MB, 8M: 294 MB, against 73 MB) and does not make it faster, and below
+# 250,000 the network build and load set the peak (125k: 73 MB too).
+_SD_PATH_BUDGET = 250_000
 
 
 def _sd_block_rows(n_nodes: int, max_week: int) -> int:
@@ -287,9 +288,9 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks):
     edges; the direct-edge exclusion always uses every level-1 edge.
 
     Rows are expanded in the blocks of :func:`_sd_blocks`, each within
-    ``_SD_PATH_BUDGET`` (500,000) two-hop paths unless it is one row, so the
+    ``_SD_PATH_BUDGET`` (250,000) two-hop paths unless it is one row, so the
     budget bounds the paths alive at once: about ten int64 arrays of that
-    length, ~40 MB.  A block's paths become one int64 key
+    length, ~20 MB.  A block's paths become one int64 key
     each, ``((row * n + k) << wbits | w2) << 3 | flags`` (row counted from
     the block's first), where ``wbits`` is the bit length of the latest
     formation week and flag bit v is set when the path's first hop passes
@@ -449,9 +450,10 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     player-major; with ``censor_after_purchase`` rows after a player's own
     purchase week are dropped (the panel is then no longer balanced).
     The x columns are filled once over all sampled players; the z columns
-    from :func:`_sd_pairs`, whose budget of ``_SD_PATH_BUDGET`` (500,000)
+    from :func:`_sd_pairs`, whose budget of ``_SD_PATH_BUDGET`` (250,000)
     two-hop paths per block bounds the instrument's memory at any degree
-    (~40 MB of path arrays; a larger budget costs memory and saves no time).
+    (~20 MB of path arrays; a larger budget costs memory and saves no time,
+    and a smaller one leaves the peak to the network).
     """
     cfg = cfg or PanelConfig()
     players = groups.all_players()

@@ -208,11 +208,12 @@ def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
         n_old = 0
     else:
         old = rng.random(m) < cfg.old_edge_fraction
-        w_old = rng.integers(0, cutoff + 1, m)
-        w_new = rng.integers(cutoff + 1, cfg.formation_end + 1, m)
-        formed = np.where(old, w_old, w_new)
         n_old = int(old.sum())
-    net = build_network((left, right, formed.astype(np.int64)),
+        # the two week draws are temporaries: only int64 ``formed`` lives on
+        formed = np.where(old, rng.integers(0, cutoff + 1, m),
+                          rng.integers(cutoff + 1, cfg.formation_end + 1, m))
+        del old
+    net = build_network((left, right, formed),
                         nodes=np.arange(cfg.n_players, dtype=np.int64))
     net.diagnostics.update({
         "requested_mean_degree": float(cfg.mean_degree),

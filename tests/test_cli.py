@@ -280,7 +280,9 @@ def test_threads_below_one_is_exit_2_before_any_input_is_read(tmp_path, capsys, 
     ("build-panel", "release_week", "2", "flag"),
     ("build-panel", "katz_alpha", "-1", "flag"),
     ("build-panel", "katz_alpha", "0", "config"),
+    ("build-panel", "min_age_weeks", "-5", "flag"),
     ("playtime", "kp_percentile", "1.5", "flag"),
+    ("playtime", "min_age_weeks", "-5", "flag"),
     ("katz", "katz_alpha", "-1", "flag")])
 def test_numeric_setting_out_of_range_is_exit_2_before_any_input_is_read(
         tmp_path, capsys, command, name, value, how):

@@ -398,11 +398,15 @@ def test_tag_peers_release_too_early():
     (dict(release_week=60, kp_percentile=float("nan")), "kp_percentile must be in (0, 1), got nan"),
     (dict(release_week=None), "release_week is required (or set window_start)"),
     (dict(release_week=3), "release_week must be at least 4, got 3"),
-    # the percentile is checked first, then a missing, then an early release week
+    # a negative age would tag edges formed after the reference week as old
+    (dict(release_week=60, min_age_weeks=-5), "min_age_weeks must be non-negative, got -5"),
+    # the percentile is checked first, then the age, then a missing, then an
+    # early release week
     (dict(release_week=None, kp_percentile=1.5), "kp_percentile must be in (0, 1), got 1.5"),
     (dict(release_week=2, kp_percentile=float("nan")), "kp_percentile must be in (0, 1), got nan"),
-], ids=["kp-0", "kp-1", "kp-nan", "release-missing", "release-3",
-        "kp-before-missing-release", "kp-before-early-release"])
+    (dict(release_week=None, min_age_weeks=-1), "min_age_weeks must be non-negative, got -1"),
+], ids=["kp-0", "kp-1", "kp-nan", "release-missing", "release-3", "min-age-negative",
+        "kp-before-missing-release", "kp-before-early-release", "age-before-missing-release"])
 def test_tag_config_rules_and_their_order(kwargs, message):
     with pytest.raises(InvalidParameterError) as err:
         TagConfig(**kwargs)

@@ -7,6 +7,9 @@ exercises the within-week waves and the mid-horizon edges without
 reference to any distributional approximation.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,25 @@ def test_formation_all_recent_when_cutoff_negative():
     _, _, formed = net.edge_array()
     assert formed.max() <= cfg.formation_end
     assert net.diagnostics["old_edges"] == 0
+
+
+def test_gen_network_traced_memory_at_mean_degree_32():
+    # the dense benchmark's network: 20,000 players, ~320,000 edges.  Holding
+    # the week draws and an int64 copy of the weeks through build_network
+    # peaked at ~35 MiB of traced memory; dropping them peaks at ~28 MiB.
+    tracemalloc.start()
+    try:
+        net = gen_network(SimConfig(n_players=20000, mean_degree=32.0, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n_edges > 300_000
+    assert peak < 30 * 2**20, f"gen_network traced peak {peak / 2**20:.1f} MiB"
+    # the same graph and weeks as the generator has always drawn
+    assert (net.indptr.dtype, net.nbr.dtype, net.formed.dtype) == (np.int64, np.int32, np.int32)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (net.indptr, net.nbr, net.formed)))
+    assert digest.hexdigest() == \
+        "0cb35742f4ea081a43eb27b228fa70e63d90f57399d74a03800bba05ce14ebcd"
 
 
 # ---------------------------------------------------------------------------
