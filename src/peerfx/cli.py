@@ -136,14 +136,15 @@ def _load_network(cfg: RunConfig):
     return build_network(triple, node_filter=node_filter)
 
 
-def _load_panel(cfg: RunConfig) -> PanelDataset:
+def _load_panel(cfg: RunConfig, names) -> PanelDataset:
+    """The panel file with every column parsed and checked, keeping only the
+    value columns ``names`` that the command's fits read."""
     _require(cfg, "panel")
     columns, meta = fileio.read_panel_csv(cfg.panel)
-    player = columns.pop("player")
-    week = columns.pop("week")
-    if player.size == 0:
+    if columns["player"].size == 0:
         raise ConfigError("empty panel")
-    return PanelDataset(player=player, week=week, columns=columns, meta=meta or {})
+    return PanelDataset(player=columns["player"], week=columns["week"],
+                        columns={name: columns[name] for name in names}, meta=meta or {})
 
 
 def _from_run_config(cls, cfg: RunConfig, **explicit):
@@ -223,7 +224,7 @@ def cmd_build_panel(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    panel = _load_panel(cfg)
+    panel = _load_panel(cfg, ("y", "x_friend", "z_sd_lag"))
     ols = estimator.ols_fit(panel, estimator.DesignSpec(outcome="y", endog=("x_friend",)),
                             threads=cfg.threads)
     iv = estimator.tsls_fit(panel, estimator.DesignSpec(
@@ -243,7 +244,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_heterogeneity(cfg: RunConfig) -> int:
-    panel = _load_panel(cfg)
+    panel = _load_panel(cfg, ("y", "x_kp", "x_of", "z_kp_lag", "z_of_lag"))
     ols = estimator.heterogeneity_fit(panel, method="ols", threads=cfg.threads)
     named = [("ols", ols)]
     if cfg.method == "2sls":

@@ -3,10 +3,12 @@
 Player and week effects are absorbed exactly: demean by player, then solve
 one small week-by-week least-squares system, with no iteration even on
 censored or disconnected panels; a PanelDataset demeans each column once for
-all its fits.  Coefficients come from normal equations (the regressor count
-is tiny, the row count is huge) solved by numpy; a singular-value screen
-proves most systems full rank, and only one that fails it is handed to
-scipy's pivoted QR, which decides the rank and names the collinear columns.
+all its fits.  The fits read that memo's read-only arrays in place, while
+the ``columns`` of a ``within_transform`` result are copies.  Coefficients
+come from normal equations (the regressor count is tiny, the row count is
+huge) solved by numpy; a singular-value screen proves most systems full
+rank, and only one that fails it is handed to scipy's pivoted QR, which
+decides the rank and names the collinear columns.
 So a fit imports numpy alone unless its design is (nearly) collinear.
 Covariance is the CR1 cluster sandwich.  One engine fits both models on
 (regressor, instrument) pairs: each endogenous column pairs with its
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
 from typing import Sequence
 
@@ -75,10 +78,19 @@ def _crossprod(A: np.ndarray, B: np.ndarray, threads: int = 1) -> np.ndarray:
 
 @dataclass
 class WithinResult:
-    """Within-transformed column copies; ``iterations`` is 1 with FE, 0 without."""
+    """Within-transformed columns; ``iterations`` is 1 with FE, 0 without.
 
-    columns: dict
+    ``columns`` holds writable copies, made on first access.  The fits read
+    ``_arrays`` instead: the memo's read-only arrays (or, without fixed
+    effects, the checked input columns), which no caller may write into.
+    """
+
+    _arrays: dict
     iterations: int
+
+    @cached_property
+    def columns(self) -> dict:
+        return {name: col.copy() for name, col in self._arrays.items()}
 
 
 def _fe_system(panel, dims: tuple):
@@ -119,14 +131,15 @@ def within_transform(panel, columns: Sequence[str],
     player-demeaned week effects.  A PanelDataset keeps the system while
     ``panel.player``/``panel.week`` are the same array objects, and each
     result while ``panel.column(name)`` also is, so replace a column rather
-    than write into it.  The returned columns are copies.
+    than write into it.  The fits read the memo's read-only arrays; the
+    returned ``columns`` are writable copies.
     """
     bad = [d for d in fe_dims if d not in ("player", "week")]
     if bad:
         raise InvalidParameterError(f"unknown fixed-effect dims: {bad}")
     dims = tuple(sorted(set(fe_dims)))
     if not dims:
-        return WithinResult({name: _get_col(panel, name).copy() for name in columns}, 0)
+        return WithinResult({name: _get_col(panel, name) for name in columns}, 0)
     keys = tuple(_raw_col(panel, d) for d in dims)
     memo = getattr(panel, "_within", {})
     hit = memo.get(dims)
@@ -138,8 +151,10 @@ def within_transform(panel, columns: Sequence[str],
         src = _raw_col(panel, name)
         col = done.get(name)
         if col is None or col[0] is not src:
-            col = done[name] = (src, _demean(_get_col(panel, name), *system))
-        data[name] = col[1].copy()
+            demeaned = _demean(_get_col(panel, name), *system)
+            demeaned.setflags(write=False)
+            col = done[name] = (src, demeaned)
+        data[name] = col[1]
     return WithinResult(data, 1)
 
 
@@ -282,20 +297,21 @@ def _solve_pivoted(A: np.ndarray, b: np.ndarray, names: Sequence[str]) -> np.nda
     return np.linalg.solve(A, b)
 
 
-def _cr1_sandwich(A: np.ndarray, S: np.ndarray, u: np.ndarray, codes: np.ndarray,
+def _cr1_sandwich(A: np.ndarray, S, u: np.ndarray, codes: np.ndarray,
                   G: int, threads: int) -> np.ndarray:
     """CR1 cluster sandwich A^-1 (sum_g S_g'u_g u_g'S_g) A^-T, scaled by
-    G/(G-1) * (N-1)/(N-K) and symmetrized; ``codes`` are dense 0..G-1."""
+    G/(G-1) * (N-1)/(N-K) and symmetrized; ``S`` is a sequence of score
+    columns, ``codes`` are dense 0..G-1."""
     if G < 2:
         raise InsufficientClustersError(f"need at least 2 clusters, got {G}")
-    N, K = S.shape[0], A.shape[1]
+    N, K = u.size, A.shape[1]
     if N <= K:
         raise InvalidParameterError(
             f"{N} rows for {K} coefficients: the CR1 factor (N-1)/(N-K) needs N > K")
     bread = np.linalg.solve(A, np.eye(K))
-    scores = np.empty((G, S.shape[1]))
-    for c in range(S.shape[1]):
-        scores[:, c] = np.bincount(codes, weights=S[:, c] * u, minlength=G)
+    scores = np.empty((G, len(S)))
+    for c, col in enumerate(S):
+        scores[:, c] = np.bincount(codes, weights=col * u, minlength=G)
     meat = _crossprod(scores, scores, threads=threads)
     V = bread @ meat @ bread.T * ((G / (G - 1.0)) * ((N - 1.0) / (N - K)))
     return (V + V.T) / 2.0
@@ -309,7 +325,7 @@ def clustered_vcov(residuals: np.ndarray, X: np.ndarray, clusters,
     u = np.asarray(residuals, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     uniq, codes = np.unique(np.asarray(clusters), return_inverse=True)
-    return _cr1_sandwich(_crossprod(X, X, threads=threads), X, u,
+    return _cr1_sandwich(_crossprod(X, X, threads=threads), X.T, u,
                          codes.astype(np.int64), uniq.size, threads)
 
 
@@ -333,7 +349,7 @@ def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
         raise InvalidParameterError("empty panel")
 
     add_const = not spec.fixed_effects
-    data = within_transform(panel, list(originals), spec.fixed_effects).columns
+    data = within_transform(panel, list(originals), spec.fixed_effects)._arrays
     # no absorbed intercept: include one and test variation around it
     varied = {k: v - v.mean() for k, v in data.items()} if add_const else data
     # flat: nothing left above _DEGENERATE_RTOL of the column's own scale
@@ -344,13 +360,13 @@ def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
     if not kept and not add_const:
         raise RankDeficientError(tuple(x for x, _ in pairs))
 
-    def design(cols):
-        return np.column_stack([*(data[c] for c in cols),
-                                *([np.ones(n)] if add_const else [])])
+    def design(cols):  # the design's columns, unstacked
+        return [*(data[c] for c in cols), *([np.ones(n)] if add_const else [])]
 
     terms = [x for x, _ in kept] + (["const"] if add_const else [])
-    X = design([x for x, _ in kept])
-    Z = design([z for _, z in kept]) if spec.instruments else X
+    instruments = [z for _, z in kept]
+    X = np.column_stack(design([x for x, _ in kept]))
+    Z = np.column_stack(design(instruments)) if spec.instruments else X
     y = data[spec.outcome]
 
     ZtX = _crossprod(Z, X, threads=threads)
@@ -365,9 +381,12 @@ def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
                 f"instrument matrix numerically singular (sigma_min={smin:.2e})")
     Zty = _crossprod(Z, y[:, None], threads=threads)[:, 0]
     coef = _solve_pivoted(ZtX, Zty, terms)
-    # in place: a freed ``X @ coef`` would leave a row-sized heap hole that the
-    # sandwich's row temporaries fit or miss by layout luck (x2: 74.2 or 75.7 MB)
+    # one stacked design alive at a time: Z goes before the residual, X after
+    # it, and the sandwich reads Z's columns (the same values) unstacked; the
+    # residual is formed in place, so no row-sized temporary is freed
+    del Z
     resid = X @ coef
+    del X
     np.subtract(y, resid, out=resid)
 
     # dense 0..G-1 codes; with no cluster each row is its own (HC1)
@@ -375,7 +394,7 @@ def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
              else _get_codes(panel, spec.cluster))
     G = int(codes.max()) + 1
     sizes = np.bincount(codes)
-    V = _cr1_sandwich(ZtX, Z, resid, codes, G, threads)
+    V = _cr1_sandwich(ZtX, design(instruments), resid, codes, G, threads)
 
     n_singletons = int((sizes == 1).sum()) if spec.cluster is not None else 0
     return FitResult(

@@ -311,7 +311,10 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks):
     flags = np.zeros(rows.size, dtype=np.int64)
     for v, keep in enumerate(masks):
         flags[slice(None) if keep is None else keep] |= 1 << v
-    paths = net.friend_sum(net.degrees())[sample_idx].astype(np.int64)  # per row
+    # two-hop paths per row, summed over the sampled rows' edges: a
+    # friend_sum over every node takes ~15 MB of temporaries at mean degree 32
+    paths = np.bincount(rows, weights=net.degrees()[j_idx],
+                        minlength=sample_idx.size).astype(np.int64)
 
     for start, stop in _sd_blocks(paths, _sd_block_rows(n, max_week)):
         lo, hi = np.searchsorted(rows, (start, stop))
@@ -453,7 +456,13 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     from :func:`_sd_pairs`, whose budget of ``_SD_PATH_BUDGET`` (250,000)
     two-hop paths per block bounds the instrument's memory at any degree
     (~20 MB of path arrays; a larger budget costs memory and saves no time,
-    and a smaller one leaves the peak to the network).
+    and a smaller one leaves the peak to the network).  The float64 columns
+    are then made one at a time, each freeing its int32 count grid, so the
+    grids and the finished columns are never all alive together.
+
+    ``meta`` also records the tag rule (reference week, old-friend cutoff,
+    key-player percentile, Katz threshold or None, key-player count) and
+    the treatment players dropped at the horizon.
     """
     cfg = cfg or PanelConfig()
     players = groups.all_players()
@@ -515,13 +524,13 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
         ok = (cols >= 0) & (cols < W)
         y_grid[np.nonzero(has)[0][ok], cols[ok]] = 1
 
-    def finalize(name):
-        g = grids[name][:, 1:]
+    def finalize(grid, denom):
+        g = grid[:, 1:]
         if cfg.aggregation == "any":
             return (g > 0).astype(np.float64).ravel()
         if cfg.aggregation == "sum":
             return g.astype(np.float64).ravel()
-        d = denoms[name][:, 1:]
+        d = denom[:, 1:]
         return np.divide(g, d, out=np.zeros(g.shape, dtype=np.float64),
                          where=d > 0).ravel()
 
@@ -529,11 +538,12 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     week_col = np.tile(np.arange(w0 + 1, w1 + 1, dtype=np.int64), P)
     keep = slice(None)
     if cfg.censor_after_purchase:
-        limit = np.repeat(np.where(p_own == NEVER, np.int64(w1), p_own), W - 1)
-        keep = week_col <= limit
+        keep = week_col <= np.repeat(np.where(p_own == NEVER, np.int64(w1), p_own), W - 1)
         player_col, week_col = player_col[keep], week_col[keep]
-    # one uncensored column alive at a time
-    columns = {name: finalize(name)[keep] for name in names}
+    # one uncensored column alive at a time, and each grid popped as its
+    # column is made
+    columns = {name: finalize(grids.pop(name), denoms.pop(name, None))[keep]
+               for name in names}
     columns["y"] = y_grid[:, 1:].astype(np.float64).ravel()[keep]
 
     meta = {
@@ -550,6 +560,12 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
         "n_rows_balanced": n_balanced,
         "first_week_dropped": w0,
         "reference_week": int(tags.reference_week),
+        "old_friend_cutoff": int(tags.old_friend_cutoff),
+        "kp_percentile": float(tags.percentile),
+        # JSON has no inf: a run with no scores to rank records null
+        "kp_threshold": float(tags.threshold) if np.isfinite(tags.threshold) else None,
+        "n_key_players": int(tags.key_players.size),
+        "n_dropped_treatment": int(groups.n_dropped_treatment),
     }
     return PanelDataset(player_col, week_col, columns, meta)
 

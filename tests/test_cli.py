@@ -650,8 +650,9 @@ def test_playtime_counts_repeated_rows_as_duplicates(sim_dir, tmp_path):
         (tmp_path / "twice" / "playtime_estimates.csv").read_bytes()
 
 
-@pytest.mark.parametrize("bad_row", ["1,12,x,0,0,0,0,0,0", "1,12,0"],
-                         ids=["bad_cell", "short_row"])
+# the last bad cell is in x_kp, a column estimate checks but does not keep
+@pytest.mark.parametrize("bad_row", ["1,12,x,0,0,0,0,0,0", "1,12,0", "1,12,0,0,0,x,0,0,0"],
+                         ids=["bad_cell", "short_row", "bad_cell_no_fit_reads"])
 def test_estimate_malformed_panel_is_exit_1_with_line(panel_path, tmp_path,
                                                       capsys, bad_row):
     lines = panel_path.read_text().splitlines(keepends=True)
@@ -661,6 +662,25 @@ def test_estimate_malformed_panel_is_exit_1_with_line(panel_path, tmp_path,
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error (ParseError)" in err and "line 3:" in err
+
+
+def test_panel_meta_tells_tag_rules_apart(sim_dir, tmp_path):
+    metas = {}
+    for pct in ("0.9", "0.99"):
+        out = tmp_path / pct / "panel.csv"
+        assert main(["build-panel", "--edges", str(sim_dir / "edges.csv"),
+                     "--achievements", str(sim_dir / "achievements.csv"),
+                     "--out", str(out), "--release-week", "10",
+                     "--window-start", "10", "--window-end", "29",
+                     "--n-per-group", "60", "--seed", "3", "--kp-percentile", pct]) == 0
+        metas[pct] = fileio.read_json(f"{out}.meta.json")
+    low, high = metas["0.9"], metas["0.99"]
+    assert low != high
+    assert (low["kp_percentile"], high["kp_percentile"]) == (0.9, 0.99)
+    assert low["n_key_players"] > high["n_key_players"] > 0
+    assert low["kp_threshold"] <= high["kp_threshold"]
+    assert low["old_friend_cutoff"] == high["old_friend_cutoff"] == TagConfig(10).old_friend_cutoff
+    assert low["n_dropped_treatment"] == high["n_dropped_treatment"] >= 0
 
 
 def test_commands_create_missing_output_directories(sim_dir, tmp_path):

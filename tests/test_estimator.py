@@ -5,6 +5,8 @@ least squares, textbook closed forms, per-cluster python loops, or exact
 Fraction arithmetic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,24 @@ def test_within_memo_follows_replaced_columns_and_ignores_writes():
     assert np.array_equal(again.coef, refit.coef)
     assert np.array_equal(again.vcov, refit.vcov)
     assert again.ar_stat == refit.ar_stat
+
+
+def test_fits_leave_the_memo_read_only_and_equal_to_a_fresh_transform():
+    rng = np.random.default_rng(43)
+    d = toy_panel(rng, n_players=12, n_weeks=5)
+    cols = {k: d[k] for k in ("y", "x", "z")}
+    panel = PanelDataset(player=d["player"], week=d["week"], columns=dict(cols))
+    tsls_fit(panel, DesignSpec(outcome="y", endog=("x",), instruments=("z",)))
+    (_, _, done), = panel._within.values()
+    assert set(done) == {"y", "x", "z"}
+    fresh = within_transform(PanelDataset(player=d["player"], week=d["week"],
+                                          columns=dict(cols)), list(done)).columns
+    for name, (_, arr) in done.items():
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        assert arr.tobytes() == fresh[name].tobytes()
+        assert fresh[name].flags.writeable
 
 
 @pytest.mark.parametrize("dim", ["player", "week"])
@@ -583,6 +603,33 @@ def test_two_endog_drop_names_regressor_else_instrument_then_exog(flat, dropped)
                                  instruments=("z_kp_lag", "z_of_lag"), exog=("w",)))
     assert fit.dropped == dropped
     assert fit.terms == ("x_kp",) and len(fit.first_stage) == 1
+
+
+def test_heterogeneity_2sls_traced_memory_is_bounded():
+    # 100k rows, five fitted columns.  In units of one float64 column, the
+    # fits once held a copy of each demeaned column and both stacked designs
+    # through the residual and the sandwich, peaking at 18.1 columns; reading
+    # the memo in place with one design alive at a time peaks at 11.1:
+    # player and week codes, the five demeaned columns and X, Z.
+    rng = np.random.default_rng(7)
+    P, T = 2000, 50
+    player = np.repeat(np.arange(P, dtype=np.int64), T)
+    week = np.tile(np.arange(T, dtype=np.int64), P)
+    n = player.size
+    z_kp, z_of = rng.normal(0, 1, n), rng.normal(0, 1, n)
+    x_kp = 0.9 * z_kp + 0.1 * z_of + rng.normal(0, 1, n)
+    x_of = 0.2 * z_kp + 0.8 * z_of + rng.normal(0, 1, n)
+    y = 0.3 * x_kp + 0.7 * x_of + rng.normal(0, 1, P)[player] + rng.normal(0, 1, n)
+    panel = PanelDataset(player, week, {"y": y, "x_kp": x_kp, "x_of": x_of,
+                                        "z_kp_lag": z_kp, "z_of_lag": z_of})
+    tracemalloc.start()
+    try:
+        fit = heterogeneity_fit(panel, method="2sls")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.terms == ("x_kp", "x_of")
+    assert peak < 14 * 8 * n, f"traced peak {peak / (8 * n):.1f} columns"
 
 
 def test_heterogeneity_ols_and_bad_method():

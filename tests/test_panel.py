@@ -31,6 +31,7 @@ from peerfx import (
     katz_centrality,
     tag_peers,
 )
+from peerfx import fileio
 from peerfx import panel as panel_mod
 from peerfx.panel import _first_friend, _sd_block_rows, _sd_blocks, _sd_pairs
 
@@ -257,6 +258,26 @@ def test_panel_balance_and_layout():
     assert panel.player.tolist() == [1, 1, 1, 1, 2, 2, 2, 2]
     assert panel.week.tolist() == [9, 10, 11, 12] * 2
     assert panel.meta["n_rows_balanced"] == 8
+
+
+def test_panel_meta_records_the_tag_rule_and_the_sample(tmp_path):
+    net = path_network()
+    sched = AdoptionSchedule("SMB", np.array([3], dtype=np.int64),
+                             np.array([10], dtype=np.int64))
+    groups = make_groups([1], [2])
+    groups.n_dropped_treatment = 2
+    panel = build_panel(net, sched, make_tags(key_players=[3], old_friend_cutoff=5),
+                        groups, (8, 12))
+    want = {"reference_week": 0, "old_friend_cutoff": 5, "kp_percentile": 0.99,
+            "kp_threshold": None, "n_key_players": 1, "n_dropped_treatment": 2}
+    assert {k: panel.meta[k] for k in want} == want
+    # an infinite threshold is written as JSON null, never as Infinity
+    fileio.write_panel_csv(tmp_path / "panel.csv", panel)
+    text = (tmp_path / "panel.csv.meta.json").read_text()
+    assert '"kp_threshold": null' in text and "Infinity" not in text
+    tags = make_tags(key_players=[3])
+    tags.threshold = 0.25
+    assert build_panel(net, sched, tags, groups, (8, 12)).meta["kp_threshold"] == 0.25
 
 
 def test_panel_window_must_have_post_lag_weeks():
@@ -701,6 +722,31 @@ def test_build_panel_memory_is_bounded_at_mean_degree_32():
         tracemalloc.stop()
     assert panel.n_rows == 3000 * 39
     assert peak < 30 * 2**20, f"build_panel traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_build_panel_memory_is_bounded_at_the_x2_shape():
+    # the x2 benchmark's shape: 40k players at mean degree 2.15, 6,000 sampled
+    # players over a 40-week window, censored after purchase (~154k rows).
+    # The finished float64 columns set the peak here, not the path blocks.
+    # Holding all six int32 count grids and the censor limit until the last
+    # column was made read 21.0 MiB; popping each grid as its column is made
+    # reads 13.8 MiB.
+    net = gen_network(SimConfig(n_players=40000, seed=1))
+    rng = np.random.default_rng(1)
+    buyers = np.sort(rng.choice(net.nodes, 20000, replace=False))
+    sched = AdoptionSchedule("SMB", buyers, rng.integers(40, 100, buyers.size))
+    tags = tag_peers(net, katz_centrality(net, 56), TagConfig(60))
+    sample = np.sort(rng.choice(net.nodes[net.degrees() > 0], 6000, replace=False))
+    groups = make_groups(sample[:3000], sample[3000:])
+    tracemalloc.start()
+    try:
+        panel = build_panel(net, sched, tags, groups, (60, 99),
+                            PanelConfig(censor_after_purchase=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.n_rows > 150_000
+    assert peak < 17 * 2**20, f"build_panel traced peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
