@@ -130,10 +130,11 @@ def _require(cfg: RunConfig, *names: str):
 
 def _load_network(cfg: RunConfig):
     _require(cfg, "edges")
-    triple = fileio.read_edges_csv(cfg.edges, epoch_unix=cfg.epoch_unix)
-    node_filter = (None if cfg.node_filter is None
-                   else fileio.read_node_filter_csv(cfg.node_filter))
-    return build_network(triple, node_filter=node_filter)
+    # the edge columns go in as a temporary, which build_network frees early
+    return build_network(
+        fileio.read_edges_csv(cfg.edges, epoch_unix=cfg.epoch_unix),
+        node_filter=(None if cfg.node_filter is None
+                     else fileio.read_node_filter_csv(cfg.node_filter)))
 
 
 def _load_panel(cfg: RunConfig, names) -> PanelDataset:
@@ -143,8 +144,10 @@ def _load_panel(cfg: RunConfig, names) -> PanelDataset:
     columns, meta = fileio.read_panel_csv(cfg.panel)
     if columns["player"].size == 0:
         raise ConfigError("empty panel")
-    return PanelDataset(player=columns["player"], week=columns["week"],
-                        columns={name: columns[name] for name in names}, meta=meta or {})
+    # contiguous copies of the kept columns; the rest of the table is freed
+    return PanelDataset(player=columns["player"].copy(), week=columns["week"].copy(),
+                        columns={name: columns[name].copy() for name in names},
+                        meta=meta or {})
 
 
 def _from_run_config(cls, cfg: RunConfig, **explicit):
@@ -174,9 +177,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.out or "."
     net = result.network
 
-    ai, bi, formed = net.edge_array()
-    fileio.write_edges_csv(os.path.join(out, "edges.csv"),
-                           net.nodes[ai], net.nodes[bi], formed,
+    a, b, formed = net.edge_array()
+    a = net.nodes[a]  # each id column replaces its index column
+    b = net.nodes[b]
+    fileio.write_edges_csv(os.path.join(out, "edges.csv"), a, b, formed,
                            epoch_unix=cfg.epoch_unix)
     scheds = list(result.schedules.values())  # never empty: cfg.game is always simulated
     fileio.write_achievements_csv(os.path.join(out, "achievements.csv"),
@@ -196,7 +200,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "network": net.diagnostics,
         "adoption": {g: s.meta for g, s in result.schedules.items()},
         "key_players": int(result.tags.key_players.size),
-        "old_friend_pairs": int(result.tags.old_friend_pairs.shape[0]),
+        # each undirected edge is two CSR entries with the same week
+        "old_friend_pairs": int(np.count_nonzero(
+            net.formed <= result.tags.old_friend_cutoff)) // 2,
     }
     fileio.write_json(os.path.join(out, "truth.json"), sidecar)
     for name in ("edges.csv", "achievements.csv", "playtime.csv",
@@ -210,8 +216,8 @@ def cmd_build_panel(cfg: RunConfig) -> int:
     panel_cfg = _from_run_config(PanelConfig, cfg)
     tc = _tag_config(cfg)
     net = _load_network(cfg)
-    events = fileio.read_achievements_csv(cfg.achievements)
-    schedule = derive_schedule(events, cfg.game, epoch_unix=cfg.epoch_unix)
+    schedule = derive_schedule(fileio.read_achievements_csv(cfg.achievements), cfg.game,
+                               epoch_unix=cfg.epoch_unix)
     tags = tag_peers(net, katz_centrality(net, tc.reference_week, alpha=cfg.katz_alpha), tc)
     groups = assign_groups(net, schedule, cfg.n_per_group, cfg.seed,
                            horizon_week=cfg.window_end)

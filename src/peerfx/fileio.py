@@ -143,10 +143,12 @@ def _bad_field(parse, lowest, cell) -> bool:
 def _read_table(path, header, kinds):
     """Parse a CSV with exactly ``header`` into one array per column.
 
-    One loadtxt call parses the rows.  Blank rows are skipped and ``#`` is
-    an ordinary character; every other row must have one field per header
-    name, each of its kind (``_ID``, ``_INT``, ``_FLOAT``, ``_TEXT`` or a
-    kind of the same shape).  On a bad row, one ``csv`` scan raises
+    One loadtxt call parses the rows into a structured array, and each
+    column is returned as a view of its field: no column is copied, and the
+    table is freed once no view of it is left.  Blank rows are skipped and
+    ``#`` is an ordinary character; every other row must have one field per
+    header name, each of its kind (``_ID``, ``_INT``, ``_FLOAT``, ``_TEXT``
+    or a kind of the same shape).  On a bad row, one ``csv`` scan raises
     :class:`ParseError` with its file line; undecodable bytes and a damaged
     ``.gz`` fail in ``_open_read``.
     """
@@ -161,7 +163,7 @@ def _read_table(path, header, kinds):
                 warnings.simplefilter("ignore")  # loadtxt warns on header-only files
                 data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                   dtype=dtype, ndmin=1)
-            columns = [np.ascontiguousarray(data[name]) for name in header]
+            columns = [data[name] for name in header]
             for name, col, (_, lowest, want, _) in zip(header, columns, kinds):
                 if lowest is not None and col.size and col.min() < lowest:
                     raise ValueError(f"{name}: expected {want}")
@@ -211,9 +213,10 @@ def _format_column(values: np.ndarray) -> list:
     """Text of each cell.  Integers print as integers; so do integral floats
     below 2**53, and any other float prints as its shortest round-trip repr.
     Text holding a comma, a quote or a line break is quoted.  An integer
-    block whose values span less than twice its length takes its cells from
-    a table of that range, each distinct text made once; the text is the
-    same as cell-by-cell formatting."""
+    block takes its cells from a table, each text made once and the same as
+    cell-by-cell formatting: the block's range when it spans less than twice
+    its length, else its distinct values (ids and Unix times), found by one
+    sort."""
     if values.dtype.kind in "OU":
         cells = values.astype(str).tolist()
         return list(map(_quote, cells)) if _NEEDS_QUOTES.search("".join(cells)) else cells
@@ -227,13 +230,16 @@ def _format_column(values: np.ndarray) -> list:
     elif values.dtype.kind not in "iu":
         return values.astype(str).tolist()
     iv = values.astype(np.uint64 if values.dtype.kind == "u" else np.int64, copy=False)
-    if iv.size:
-        lo = iv.min()
-        span = int(iv.max()) - int(lo)
-        if span < 2 * iv.size:
-            table = (lo + np.arange(span + 1, dtype=iv.dtype)).astype(str).astype(object)
-            return table[iv - lo].tolist()
-    return iv.astype(str).tolist()
+    if iv.size == 0:
+        return []
+    lo = iv.min()
+    span = int(iv.max()) - int(lo)
+    if span < 2 * iv.size:  # indexing the range beats a sort
+        table, at = range(int(lo), int(lo) + span + 1), iv - lo
+    else:
+        distinct, at = np.unique(iv, return_inverse=True)
+        table = distinct.tolist()
+    return np.array(list(map(str, table)), dtype=object)[at].tolist()
 
 
 def _write_table(path, header, columns):
@@ -251,12 +257,16 @@ def read_edges_csv(path, epoch_unix: int = 0):
     """Read ``player_a,player_b,formed_unix`` into (a, b, formed_week) arrays."""
     since_epoch = (_int64, epoch_unix,
                    f"a Unix time at or after the epoch {epoch_unix}", np.int64)
-    a, b, unix = _read_table(path, _EDGE_HEADER, (_ID, _ID, since_epoch))
-    return a, b, (unix - epoch_unix) // 604800
+    a, b, week = _read_table(path, _EDGE_HEADER, (_ID, _ID, since_epoch))
+    week -= epoch_unix  # in place: the table's Unix-time field becomes the week
+    week //= 604800
+    return a, b, week
 
 
 def write_edges_csv(path, a, b, formed_week, epoch_unix: int = 0):
-    unix = np.asarray(formed_week, dtype=np.int64) * 604800 + epoch_unix
+    unix = np.array(formed_week, dtype=np.int64)  # a copy, converted in place
+    unix *= 604800
+    unix += epoch_unix
     _write_table(path, _EDGE_HEADER, (a, b, unix))
 
 
@@ -318,7 +328,9 @@ def write_panel_csv(path, panel):
 
 def read_panel_csv(path):
     """Load a panel written by :func:`write_panel_csv`; returns (columns, meta).
-    A missing sidecar (or a directory in its place) reads as ``{}``."""
+    The columns are views of one table, which lives while any of them does:
+    copy the ones to keep.  A missing sidecar (or a directory in its place)
+    reads as ``{}``."""
     columns = dict(zip(_PANEL_HEADER, _read_table(path, _PANEL_HEADER, _PANEL_KINDS)))
     sidecar = os.fspath(path) + ".meta.json"
     return columns, read_json(sidecar) if os.path.isfile(sidecar) else {}

@@ -12,7 +12,7 @@ that the heterogeneity regressors are built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -43,8 +43,19 @@ def _lookup(sorted_ids: np.ndarray, ids):
     ids = np.asarray(ids, dtype=np.int64)
     if sorted_ids.size == 0:
         return np.zeros(ids.shape, dtype=np.int64), np.zeros(ids.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
+    # searching all but the last id clamps a position past the end to it
+    pos = np.searchsorted(sorted_ids[:-1], ids)
     return pos, sorted_ids[pos] == ids
+
+
+def _unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` by one sort and one scan, which numpy 2's ``np.unique``
+    (hash-based for a plain call) takes two to four times as long to give
+    on an edge column."""
+    s = np.sort(x)
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def week_of_unix(unix, epoch_unix: int = 0):
@@ -159,11 +170,10 @@ class TemporalNetwork:
         width = n - np.cumsum(np.bincount(deg))[:-1]  # rows with more than j
         bounds = np.zeros(width.size + 1, dtype=np.int64)
         np.cumsum(width, out=bounds[1:])
-        slot = np.arange(kptr[-1], dtype=np.int64)  # a kept entry's place in its row
-        slot -= np.repeat(kptr[:-1], deg)
-        at = bounds[slot]
+        at = np.arange(kptr[-1], dtype=np.int64)
+        at -= np.repeat(kptr[:-1], deg)  # a kept entry's slot: its place in its row
+        at = bounds[at]
         at += np.repeat(rank, deg)
-        del slot
         cols = np.empty(at.size, dtype=np.intp)  # gathers faster than int32
         cols[at] = self.nbr[keep]
         del at
@@ -187,6 +197,14 @@ class TemporalNetwork:
         return np.bincount(np.repeat(np.arange(self.n_nodes), self.degrees()),
                            weights=values[self.nbr], minlength=self.n_nodes)
 
+    def has_flagged_friend(self, flag: np.ndarray) -> np.ndarray:
+        """Per node, whether any friend is flagged: ``friend_sum(flag) > 0``.
+        Adjacency is symmetric, so these are the neighbours listed in the
+        flagged nodes' rows; one bool per entry marks those rows."""
+        out = np.zeros(self.n_nodes, dtype=bool)
+        out[self.nbr[np.repeat(np.asarray(flag, dtype=bool), self.degrees())]] = True
+        return out
+
     def _view_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """The week-t view as (mask of kept entries, its CSR row pointers)."""
         keep = self.formed <= t
@@ -203,10 +221,11 @@ class TemporalNetwork:
                              shape=(self.n_nodes, self.n_nodes))
 
     def edge_array(self):
-        """Unique undirected edges as (a_idx, b_idx, formed) with a_idx < b_idx."""
-        rows, _ = self.entries(np.arange(self.n_nodes))  # pos is every slot in order
+        """Unique undirected edges as int32 (a_idx, b_idx, formed) with
+        a_idx < b_idx, in CSR order."""
+        rows = np.repeat(np.arange(self.n_nodes, dtype=np.int32), self.degrees())
         upper = rows < self.nbr
-        return rows[upper], self.nbr[upper].astype(np.int64), self.formed[upper]
+        return rows[upper], self.nbr[upper], self.formed[upper]
 
 
 def as_columns(records, dtypes) -> tuple[np.ndarray, ...]:
@@ -258,11 +277,15 @@ def build_network(
     of those 2m keys is both the pair dedupe and the CSR order: the sorted
     unique keys are the (row, neighbor) entries, and one ``minimum.reduceat``
     gives each its earliest week.  Dead temporaries are freed as the build
-    goes: at its peak it holds the sorted keys, the sort order (8 bytes per
-    key each) and the int32 weeks, about 18 MiB of traced memory for 320,000
-    records on 20,000 nodes.
+    goes, and the keys are sorted in place once the sort order has gathered
+    the weeks: at its peak the build holds the keys, the sort order (8 bytes
+    per key each) and the int32 weeks, about 14 MiB of traced memory for
+    320,000 records on 20,000 nodes.  Columns passed as a temporary, e.g.
+    ``build_network(read_edges_csv(path))``, are freed once their node
+    indices are found; columns the caller still names stay alive throughout.
     """
     a, b, f = as_columns(edges, (np.int64,) * 3)
+    del edges  # the callee owns a temporary argument's only reference
     if a.size and (a.min() < 0 or b.min() < 0):
         raise InvalidParameterError("player ids must be non-negative")
     if f.size and f.min() < 0:
@@ -281,7 +304,8 @@ def build_network(
     if nodes is not None:
         universe = np.unique(np.asarray(list(nodes), dtype=np.int64))
     else:
-        universe = np.unique(np.concatenate((a, b))) if a.size else np.zeros(0, dtype=np.int64)
+        # two small unique sets, not one sort of both whole columns
+        universe = _unique(np.concatenate((_unique(a), _unique(b))))
     if universe.size and universe.min() < 0:
         raise InvalidParameterError("player ids must be non-negative")
 
@@ -294,28 +318,36 @@ def build_network(
     ib, ok_b = _lookup(universe, b)
     del a, b
     ok = ok_a & ok_b
+    del ok_a, ok_b
     diagnostics["filtered_edges"] = int((~ok).sum())
-    ia, ib, f = ia[ok], ib[ok], f[ok].astype(np.int32)  # exact: weeks are below NEVER
+    if diagnostics["filtered_edges"]:
+        ia, ib, f = ia[ok], ib[ok], f[ok]
+    del ok
+    f = f.astype(np.int32)  # exact: weeks are below NEVER
 
     # a run of equal keys keeps its earliest week, whatever its order
     n = universe.size
     if n > 3_037_000_499:
         raise InvalidParameterError(f"{n} nodes overflow the int64 pair key")
-    key = np.concatenate((ia * n + ib, ib * n + ia))
+    m = ia.size
+    key = np.empty(2 * m, dtype=np.int64)  # a * n + b, then b * n + a
+    np.multiply(ia, n, out=key[:m])
+    key[:m] += ib
+    np.multiply(ib, n, out=key[m:])
+    key[m:] += ia
     del ia, ib
     order = np.argsort(key)
-    key = key[order]
-    wks = np.concatenate((f, f))[order]
+    wks = np.take(f, order, mode="wrap")  # key i >= m is record i - m
     del f, order
+    key.sort()  # equal keys are equal values: the same array as key[order]
     head = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    del head
     # every unordered pair is two keys, so each duplicate record is two too
-    diagnostics["duplicates"] = int((key.size - starts.size) // 2)
-    wks = np.minimum.reduceat(wks, starts)
-    key = key[starts]
-    del starts
+    diagnostics["duplicates"] = int(key.size - np.count_nonzero(head)) // 2
+    if diagnostics["duplicates"]:
+        wks = np.minimum.reduceat(wks, np.flatnonzero(head))
+        key = key[head]
+    del head
     indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
     deg = np.diff(indptr)
     if deg.size and deg.max() > max_degree:
@@ -473,29 +505,40 @@ class TagConfig:
 
 @dataclass
 class PeerTags:
-    """Key players and old-friend pairs under a :class:`TagConfig`.
+    """Key players and the old-friend rule under a :class:`TagConfig`.
 
-    ``old_friend_pairs`` holds player-id pairs with a < b.  The other
-    fields record the rule's values: the reference week, the cutoff (an
+    The fields record the rule's values: the reference week, the cutoff (an
     edge is an old-friend edge exactly when it formed by it), the
-    percentile and the Katz threshold it gave.
+    percentile and the Katz threshold it gave.  ``network`` is the graph the
+    tags were read from; tags built by hand may leave it unset.
     """
 
     key_players: np.ndarray
-    old_friend_pairs: np.ndarray
     reference_week: int
     old_friend_cutoff: int
     percentile: float
     threshold: float
+    network: TemporalNetwork | None = field(default=None, repr=False, compare=False)
 
     def is_key_player(self, player) -> np.ndarray | bool:
         return _lookup(self.key_players, player)[1]
 
+    @property
+    def old_friend_pairs(self) -> np.ndarray:
+        """Player-id pairs (a < b) of the network's old-friend edges, an
+        (edges, 2) int64 array built on each read."""
+        if self.network is None:
+            raise InvalidParameterError("these tags have no network to list edges from")
+        net = self.network
+        ai, bi, f = net.edge_array()
+        old = f <= self.old_friend_cutoff
+        return np.stack((net.nodes[ai[old]], net.nodes[bi[old]]), axis=1)
+
 
 def tag_peers(net: TemporalNetwork, scores: CentralityScores,
               cfg: TagConfig) -> PeerTags:
-    """Key players and old-friend edges of ``net`` by the rule ``cfg``, with
-    key players ranked by ``scores`` (Katz at ``cfg.reference_week``)."""
+    """Key players of ``net`` by the rule ``cfg``, ranked by ``scores`` (Katz
+    at ``cfg.reference_week``), and the rule's old-friend cutoff."""
     vals = scores.values
     if cfg.connected_only:
         vals = vals[net.degrees() > 0]
@@ -505,8 +548,5 @@ def tag_peers(net: TemporalNetwork, scores: CentralityScores,
     else:
         threshold = float(np.quantile(vals, cfg.kp_percentile))
         kp = net.nodes[scores.values >= threshold]
-    ai, bi, f = net.edge_array()
-    old = f <= cfg.old_friend_cutoff
-    pairs = np.stack((net.nodes[ai[old]], net.nodes[bi[old]]), axis=1)
-    return PeerTags(kp, pairs, cfg.reference_week, cfg.old_friend_cutoff,
-                    float(cfg.kp_percentile), threshold)
+    return PeerTags(kp, cfg.reference_week, cfg.old_friend_cutoff,
+                    float(cfg.kp_percentile), threshold, net)

@@ -133,7 +133,7 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
         raise InvalidParameterError("n_per_group must be non-negative")
     deg = net.degrees()
     weeks = schedule.weeks_for(net.nodes)
-    has_adopting_friend = net.friend_sum(weeks != NEVER) > 0
+    has_adopting_friend = net.has_flagged_friend(weeks != NEVER)
     treat_pool = net.nodes[(deg > 0) & has_adopting_friend]
     control_pool = net.nodes[(deg > 0) & ~has_adopting_friend]
     if treat_pool.size < n_per_group or control_pool.size < n_per_group:
@@ -148,7 +148,7 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
 
     n_dropped = 0
     if horizon_week is not None and treatment.size:
-        usable = net.friend_sum(weeks <= horizon_week) > 0
+        usable = net.has_flagged_friend(weeks <= horizon_week)
         keep = usable[net.indices_of(treatment)]
         n_dropped = int((~keep).sum())
         treatment = treatment[keep]
@@ -236,11 +236,12 @@ def expected_row_count(n_players: int, window) -> int:
 _SD_FLAG_BITS = 3
 # Two-hop paths expanded at once (a single row may exceed it): bounds the
 # packed keys of a block and each array that builds them.  About ten int64
-# arrays of this length are alive at once, ~20 MB at 250,000.  It is the knee
-# at mean degree 32: a larger budget raises build-panel's peak memory (500k:
-# 87 MB, 8M: 294 MB, against 73 MB) and does not make it faster, and below
-# 250,000 the network build and load set the peak (125k: 73 MB too).
-_SD_PATH_BUDGET = 250_000
+# arrays of this length are alive at once, ~10 MB at 125,000.  It is the knee
+# at mean degree 32 (dense build-panel, seed 1): build_panel's traced peak is
+# 23.0 MiB at 250k, 14.7 at 125k and 12.0 at 62.5k, and the process peak
+# 68 MB at 250k against 62 MB at 125k and at 62.5k, where reading and
+# building the network set it.  No budget in that range changes the time.
+_SD_PATH_BUDGET = 125_000
 
 
 def _sd_block_rows(n_nodes: int, max_week: int) -> int:
@@ -288,9 +289,9 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks):
     edges; the direct-edge exclusion always uses every level-1 edge.
 
     Rows are expanded in the blocks of :func:`_sd_blocks`, each within
-    ``_SD_PATH_BUDGET`` (250,000) two-hop paths unless it is one row, so the
+    ``_SD_PATH_BUDGET`` (125,000) two-hop paths unless it is one row, so the
     budget bounds the paths alive at once: about ten int64 arrays of that
-    length, ~20 MB.  A block's paths become one int64 key
+    length, ~10 MB.  A block's paths become one int64 key
     each, ``((row * n + k) << wbits | w2) << 3 | flags`` (row counted from
     the block's first), where ``wbits`` is the bit length of the latest
     formation week and flag bit v is set when the path's first hop passes
@@ -311,8 +312,8 @@ def _sd_pairs(net, rows, j_idx, f_ij, sample_idx, masks):
     flags = np.zeros(rows.size, dtype=np.int64)
     for v, keep in enumerate(masks):
         flags[slice(None) if keep is None else keep] |= 1 << v
-    # two-hop paths per row, summed over the sampled rows' edges: a
-    # friend_sum over every node takes ~15 MB of temporaries at mean degree 32
+    # two-hop paths per row, summed over the sampled rows' edges only:
+    # friend_sum(degrees) over every node peaks at ~15 MiB at mean degree 32
     paths = np.bincount(rows, weights=net.degrees()[j_idx],
                         minlength=sample_idx.size).astype(np.int64)
 
@@ -453,9 +454,9 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     player-major; with ``censor_after_purchase`` rows after a player's own
     purchase week are dropped (the panel is then no longer balanced).
     The x columns are filled once over all sampled players; the z columns
-    from :func:`_sd_pairs`, whose budget of ``_SD_PATH_BUDGET`` (250,000)
+    from :func:`_sd_pairs`, whose budget of ``_SD_PATH_BUDGET`` (125,000)
     two-hop paths per block bounds the instrument's memory at any degree
-    (~20 MB of path arrays; a larger budget costs memory and saves no time,
+    (~10 MB of path arrays; a larger budget costs memory and saves no time,
     and a smaller one leaves the peak to the network).  The float64 columns
     are then made one at a time, each freeing its int32 count grid, so the
     grids and the finished columns are never all alive together.

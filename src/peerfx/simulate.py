@@ -143,10 +143,13 @@ def _draw_degrees(cfg: SimConfig, rng) -> np.ndarray:
 
 def _conflicts(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
     """Self-loops, and every repeat of an already seen unordered pair."""
-    keys = np.minimum(left, right) * n + np.maximum(left, right)
+    keys = np.minimum(left, right)
+    keys *= n
+    keys += np.maximum(left, right)
     order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     dup = np.zeros(keys.size, dtype=bool)
-    dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    dup[order[1:]] = keys[1:] == keys[:-1]
     return (left == right) | dup
 
 
@@ -162,6 +165,7 @@ def _pair_stubs(deg: np.ndarray, rng, max_rounds: int = 50):
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     rng.shuffle(stubs)
     left, right = stubs[0::2].copy(), stubs[1::2].copy()
+    del stubs
     dropped = 0
     rounds = 0
     for rounds in range(max_rounds):
@@ -188,17 +192,9 @@ def _pair_stubs(deg: np.ndarray, rng, max_rounds: int = 50):
     return left, right, dropped, rounds + 1
 
 
-def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
-    """Configuration-model friendship graph with edge formation weeks.
-
-    An ``old_edge_fraction`` share of edges forms uniformly in
-    [0, cutoff], with cutoff = ``cfg.tags.old_friend_cutoff`` (old enough
-    to count as old friends); the rest form uniformly in
-    (cutoff, formation_end].  When the cutoff falls before week 0
-    every edge is recent.
-    """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def _timed_edges(cfg: SimConfig, rng, diagnostics: dict) -> tuple:
+    """The configuration-model edges as (left, right, formed) int64 columns;
+    their draw counters go to ``diagnostics``."""
     deg = _draw_degrees(cfg, rng)
     left, right, dropped, rounds = _pair_stubs(deg, rng)
     m = left.size
@@ -213,14 +209,29 @@ def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
         formed = np.where(old, rng.integers(0, cutoff + 1, m),
                           rng.integers(cutoff + 1, cfg.formation_end + 1, m))
         del old
-    net = build_network((left, right, formed),
+    diagnostics.update(rematch_rounds=rounds, dropped_bad_pairs=dropped, old_edges=n_old)
+    return left, right, formed
+
+
+def gen_network(cfg: SimConfig, rng=None) -> TemporalNetwork:
+    """Configuration-model friendship graph with edge formation weeks.
+
+    An ``old_edge_fraction`` share of edges forms uniformly in
+    [0, cutoff], with cutoff = ``cfg.tags.old_friend_cutoff`` (old enough
+    to count as old friends); the rest form uniformly in
+    (cutoff, formation_end].  When the cutoff falls before week 0
+    every edge is recent.
+    """
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    drawn = {}
+    # no name holds the columns, so build_network frees them as it goes
+    net = build_network(_timed_edges(cfg, rng, drawn),
                         nodes=np.arange(cfg.n_players, dtype=np.int64))
     net.diagnostics.update({
         "requested_mean_degree": float(cfg.mean_degree),
         "realized_mean_degree": float(2.0 * net.n_edges / cfg.n_players),
-        "rematch_rounds": rounds,
-        "dropped_bad_pairs": dropped,
-        "old_edges": n_old,
+        **drawn,
     })
     return net
 

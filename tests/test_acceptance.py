@@ -98,7 +98,6 @@ def test_criterion_2_row_count_identity():
     schedule = AdoptionSchedule(game="SMB", players=purchasers, weeks=weeks,
                                 meta={})
     tags = PeerTags(key_players=np.zeros(0, dtype=np.int64),
-                    old_friend_pairs=np.zeros((0, 2), dtype=np.int64),
                     reference_week=0, old_friend_cutoff=-1,
                     percentile=0.99, threshold=0.0)
     groups = GroupAssignment(treatment=ring, control=ring[:0], seed=0,

@@ -41,11 +41,9 @@ WEEK = 604800
 
 
 def make_tags(key_players=(), old_friend_cutoff=-1, reference_week=0):
-    """Hand-built tags; old-friend pairs are irrelevant to build_panel
-    (it keys off the cutoff) so they stay empty here."""
+    """Hand-built tags without a network: build_panel keys off the cutoff."""
     return PeerTags(np.asarray(sorted(key_players), dtype=np.int64),
-                    np.zeros((0, 2), dtype=np.int64), reference_week,
-                    old_friend_cutoff, 0.99, float("inf"))
+                    reference_week, old_friend_cutoff, 0.99, float("inf"))
 
 
 def make_groups(treatment, control=()):
@@ -704,7 +702,8 @@ def test_build_panel_memory_is_bounded_at_mean_degree_32():
     # the dense benchmark's network (20k players at mean degree 32) and 3,000
     # sampled players with ~3.2M two-hop paths.  Under one 8M-path block build_panel
     # peaked at ~240 MiB of traced allocations, under 500k-path blocks at
-    # ~41 MiB; 250k-path blocks keep ~24 MiB.
+    # ~41 MiB and under 250k-path blocks at 23.7 MiB; 125k-path blocks keep
+    # 15.1 MiB.
     net = gen_network(SimConfig(n_players=20000, mean_degree=32.0, seed=1))
     rng = np.random.default_rng(1)
     buyers = np.sort(rng.choice(net.nodes, 2000, replace=False))
@@ -721,7 +720,26 @@ def test_build_panel_memory_is_bounded_at_mean_degree_32():
     finally:
         tracemalloc.stop()
     assert panel.n_rows == 3000 * 39
-    assert peak < 30 * 2**20, f"build_panel traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 20 * 2**20, f"build_panel traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_assign_groups_traced_memory_at_mean_degree_32():
+    # the dense benchmark's network.  Two friend_sum passes, each with an
+    # int64 row index and float64 weights per adjacency entry, peaked at
+    # 11.1 MiB of traced memory; marking the flagged rows' neighbours, one
+    # bool per entry, peaks at 1.3 MiB.
+    net = gen_network(SimConfig(n_players=20000, mean_degree=32.0, seed=1))
+    rng = np.random.default_rng(1)
+    buyers = np.sort(rng.choice(net.nodes, 300, replace=False))
+    sched = AdoptionSchedule("SMB", buyers, rng.integers(40, 100, buyers.size))
+    tracemalloc.start()
+    try:
+        groups = assign_groups(net, sched, 1500, seed=1, horizon_week=70)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert groups.control.size == 1500 and groups.n_dropped_treatment > 0
+    assert peak < 5 * 2**20, f"assign_groups traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_build_panel_memory_is_bounded_at_the_x2_shape():
@@ -814,8 +832,7 @@ def test_playtime_first_friend_can_be_both_kp_and_of():
     net = build_network([(1, 2, 0)])
     sched = {"SMB": AdoptionSchedule("SMB", np.array([1, 2], dtype=np.int64),
                                      np.array([8, 2], dtype=np.int64))}
-    tags = PeerTags(np.array([2], dtype=np.int64),
-                    np.array([[1, 2]], dtype=np.int64), 9, 0, 0.99, 1.0)
+    tags = PeerTags(np.array([2], dtype=np.int64), 9, 0, 0.99, 1.0, net)
     rows = build_playtime_crosssection(net, sched, tags, ([1], ["SMB"], [60]),
                                        cov_for([1, 2]))
     r = rows[0]
