@@ -137,16 +137,28 @@ def _load_network(cfg: RunConfig):
                      else fileio.read_node_filter_csv(cfg.node_filter)))
 
 
+def _narrowest(col: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a float column: int8 when every value is an
+    integer in int8's range (a 0/1 column), else float64.  The range test
+    comes first, so NaN and inf are never cast."""
+    if -128 <= col.min() and col.max() <= 127:
+        small = col.astype(np.int8)
+        if np.array_equal(small, col):
+            return small
+    return col.copy()
+
+
 def _load_panel(cfg: RunConfig, names) -> PanelDataset:
     """The panel file with every column parsed and checked, keeping only the
-    value columns ``names`` that the command's fits read."""
+    value columns ``names`` that the command's fits read, each in the
+    narrowest dtype that holds it exactly (see :func:`_narrowest`)."""
     _require(cfg, "panel")
     columns, meta = fileio.read_panel_csv(cfg.panel)
     if columns["player"].size == 0:
         raise ConfigError("empty panel")
     # contiguous copies of the kept columns; the rest of the table is freed
     return PanelDataset(player=columns["player"].copy(), week=columns["week"].copy(),
-                        columns={name: columns[name].copy() for name in names},
+                        columns={name: _narrowest(columns[name]) for name in names},
                         meta=meta or {})
 
 
@@ -279,6 +291,7 @@ def cmd_playtime(cfg: RunConfig) -> int:
     games = [cfg.game] + sorted(set(playtimes[1].tolist()) - {cfg.game})
     schedules = {g: derive_schedule(events, g, epoch_unix=cfg.epoch_unix)
                  for g in games}
+    del events  # only the schedules read it
     tags = tag_peers(net, katz_centrality(net, tc.reference_week, alpha=cfg.katz_alpha), tc)
     diagnostics = {}
     rows = build_playtime_crosssection(net, schedules, tags, playtimes,

@@ -45,17 +45,28 @@ def _raw_col(panel, name: str):
 
 
 def _get_col(panel, name: str) -> np.ndarray:
-    col = np.asarray(_raw_col(panel, name), dtype=np.float64)
-    if not np.isfinite(col).all():
-        raise InvalidParameterError(f"column {name!r} contains non-finite values")
+    """Column ``name`` checked finite: a bool or integer column as stored
+    (finite by type), any other as float64."""
+    col = np.asarray(_raw_col(panel, name))
+    if col.dtype.kind not in "biu":
+        col = np.asarray(col, dtype=np.float64)
+        if not np.isfinite(col).all():
+            raise InvalidParameterError(f"column {name!r} contains non-finite values")
     return col
+
+
+def _max_abs(col: np.ndarray) -> float:
+    """Largest |value| of a checked column, from its extremes, with no
+    row-sized temporary; ``np.abs`` would also wrap an integer minimum
+    (int8 -128 stays -128)."""
+    return max(-float(col.min()), float(col.max()))
 
 
 def _get_codes(panel, dim: str) -> np.ndarray:
     if hasattr(panel, "codes"):
         return panel.codes(dim)
     _, inv = np.unique(np.asarray(panel[dim]), return_inverse=True)
-    return inv.astype(np.int64)
+    return inv.astype(np.int64, copy=False)
 
 
 def _crossprod(A: np.ndarray, B: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -82,7 +93,8 @@ class WithinResult:
 
     ``columns`` holds writable copies, made on first access.  The fits read
     ``_arrays`` instead: the memo's read-only arrays (or, without fixed
-    effects, the checked input columns), which no caller may write into.
+    effects, the checked input columns as float64), which no caller may
+    write into.
     """
 
     _arrays: dict
@@ -111,13 +123,18 @@ def _fe_system(panel, dims: tuple):
 
 
 def _demean(col: np.ndarray, codes, sizes, week_system) -> np.ndarray:
-    """Residual of ``col`` on the group dummies (plus the week dummies)."""
-    out = col - (np.bincount(codes, weights=col, minlength=sizes.size) / sizes)[codes]
+    """Residual of ``col`` on the group dummies (plus the week dummies), in
+    float64.  A bool or integer column is read as float64 exactly, with no
+    float copy of it kept, and each step writes in place: at most three
+    row-sized float arrays are alive."""
+    out = (np.bincount(codes, weights=col, minlength=sizes.size) / sizes)[codes]
+    np.subtract(col, out, out=out)
     if week_system is not None:
         weeks, A = week_system
         rhs = np.bincount(weeks, weights=out, minlength=A.shape[0])
         g = np.linalg.lstsq(A, rhs, rcond=None)[0][weeks]
-        out -= g - (np.bincount(codes, weights=g, minlength=sizes.size) / sizes)[codes]
+        g -= (np.bincount(codes, weights=g, minlength=sizes.size) / sizes)[codes]
+        out -= g
     return out
 
 
@@ -139,7 +156,8 @@ def within_transform(panel, columns: Sequence[str],
         raise InvalidParameterError(f"unknown fixed-effect dims: {bad}")
     dims = tuple(sorted(set(fe_dims)))
     if not dims:
-        return WithinResult({name: _get_col(panel, name) for name in columns}, 0)
+        return WithinResult({name: np.asarray(_get_col(panel, name), dtype=np.float64)
+                             for name in columns}, 0)
     keys = tuple(_raw_col(panel, d) for d in dims)
     memo = getattr(panel, "_within", {})
     hit = memo.get(dims)
@@ -340,6 +358,7 @@ def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
     pairs = [*zip(spec.endog, spec.instruments or spec.endog),
              *((e, e) for e in spec.exog)]
     names = list(dict.fromkeys(c for pair in pairs for c in pair))
+    # each column as stored: an integer column is not copied to be checked
     originals = {name: _get_col(panel, name) for name in (spec.outcome, *names)}
     n = originals[spec.outcome].size
     for name, col in originals.items():
@@ -353,8 +372,8 @@ def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
     # no absorbed intercept: include one and test variation around it
     varied = {k: v - v.mean() for k, v in data.items()} if add_const else data
     # flat: nothing left above _DEGENERATE_RTOL of the column's own scale
-    flat = {c for c in names if np.abs(varied[c]).max()
-            <= _DEGENERATE_RTOL * max(1.0, np.abs(originals[c]).max())}
+    flat = {c for c in names if _max_abs(varied[c])
+            <= _DEGENERATE_RTOL * max(1.0, _max_abs(originals[c]))}
     kept = [(x, z) for x, z in pairs if x not in flat and z not in flat]
     dropped = [x if x in flat else z for x, z in pairs if x in flat or z in flat]
     if not kept and not add_const:

@@ -186,7 +186,13 @@ class PanelDataset:
 
     Rows are ordered player-major (ascending player id, then week).  With
     censoring off the panel is exactly balanced:
-    ``n_rows == n_players * (w_end - w_start)``.
+    ``n_rows == n_players * (w_end - w_start)``.  ``player`` and ``week``
+    are int64.  A value column keeps the narrowest dtype that holds it
+    exactly: from :func:`build_panel`, ``y`` is int8 0/1 and the others
+    int8 0/1 under the "any" aggregation, int32 counts under "sum" and
+    float64 under "mean"; read back by the CLI, a column of integers in
+    int8's range is int8 and any other float64.  The estimator reads every
+    integer dtype as float64, so the dtype never changes a fit.
     """
 
     player: np.ndarray
@@ -218,7 +224,7 @@ class PanelDataset:
         hit = self._codes.get(dim)
         if hit is None or hit[0] is not col:
             _, inv = np.unique(col, return_inverse=True)
-            hit = self._codes[dim] = (col, inv.astype(np.int64))
+            hit = self._codes[dim] = (col, inv.astype(np.int64, copy=False))
         return hit[1]
 
 
@@ -457,9 +463,12 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     from :func:`_sd_pairs`, whose budget of ``_SD_PATH_BUDGET`` (125,000)
     two-hop paths per block bounds the instrument's memory at any degree
     (~10 MB of path arrays; a larger budget costs memory and saves no time,
-    and a smaller one leaves the peak to the network).  The float64 columns
+    and a smaller one leaves the peak to the network).  The value columns
     are then made one at a time, each freeing its int32 count grid, so the
-    grids and the finished columns are never all alive together.
+    grids and the finished columns are never all alive together.  Each
+    keeps the narrowest dtype that holds it exactly: ``y`` and the "any"
+    columns are int8 0/1, the "sum" columns the int32 counts and the
+    "mean" columns float64.
 
     ``meta`` also records the tag rule (reference week, old-friend cutoff,
     key-player percentile, Katz threshold or None, key-player count) and
@@ -517,7 +526,7 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     if absorbing:
         # owned from the purchase column on; no in-window purchase -> column W
         start = np.where(p_own <= w1, np.maximum(p_own - w0, 0), W)
-        y_grid = (np.arange(W) >= start[:, None]).astype(np.int8)
+        y_grid = (np.arange(W) >= start[:, None]).view(np.int8)
     else:
         y_grid = np.zeros((P, W), dtype=np.int8)
         has = p_own != NEVER
@@ -528,9 +537,9 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     def finalize(grid, denom):
         g = grid[:, 1:]
         if cfg.aggregation == "any":
-            return (g > 0).astype(np.float64).ravel()
+            return (g > 0).view(np.int8).ravel()
         if cfg.aggregation == "sum":
-            return g.astype(np.float64).ravel()
+            return g.ravel()
         d = denom[:, 1:]
         return np.divide(g, d, out=np.zeros(g.shape, dtype=np.float64),
                          where=d > 0).ravel()
@@ -545,7 +554,7 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     # column is made
     columns = {name: finalize(grids.pop(name), denoms.pop(name, None))[keep]
                for name in names}
-    columns["y"] = y_grid[:, 1:].astype(np.float64).ravel()[keep]
+    columns["y"] = y_grid[:, 1:].ravel()[keep]
 
     meta = {
         "window": [w0, w1],

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GenerationFailedError, InvalidParameterError
 from .graph import (DEFAULT_DEGREE_CAP, NEVER, TagConfig, TemporalNetwork,
-                    build_network, katz_centrality, tag_peers)
+                    _unique, build_network, katz_centrality, tag_peers)
 from .panel import AdoptionSchedule, _first_friend_dummies, _key_player_mask
 
 
@@ -316,7 +316,7 @@ def simulate_adoption(net: TemporalNetwork, cfg: SimConfig, truth: SimTruth,
             r, pos = net.entries(changed)
             f = nbr[pos]
             later = (formed[pos] <= t) & at_risk[f] & (slots[f] > slots[changed[r]])
-            who = np.unique(f[later])
+            who = _unique(f[later])
             r, pos = net.entries(who)
             k = nbr[pos]
             on = buy[k] & (formed[pos] <= t) & (slots[k] < slots[who[r]])

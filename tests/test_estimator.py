@@ -26,6 +26,7 @@ from peerfx import (
     tsls_fit,
     within_transform,
 )
+from peerfx.estimator import _max_abs
 from peerfx.panel import PLAYTIME_DTYPE
 
 from conftest import (
@@ -639,6 +640,73 @@ def test_heterogeneity_ols_and_bad_method():
     assert fit.model == "ols" and set(fit.terms) == {"x_kp", "x_of"}
     with pytest.raises(InvalidParameterError):
         heterogeneity_fit(d, method="gmm")
+
+
+def int_panel(rng, dtype):
+    """Panels with the same values stored as ``dtype`` and as float64: y on
+    (x_kp, x_of) instrumented by (z_kp_lag, z_of_lag), values in int8's range
+    with its -128 edge (0/1 for bool), and ``w`` constant per player.  An
+    int64 panel also has ``big``, player-constant steps of 2**11 up from the
+    int64 minimum: its demeaning leaves a rounding residue of 2**11, which is
+    flat only against the column's own scale, 2**63."""
+    P, T = 30, 10
+    player = np.repeat(np.arange(P, dtype=np.int64), T)
+    week = np.tile(np.arange(T, dtype=np.int64), P)
+    n = P * T
+    lo, hi = (0, 2) if dtype is np.bool_ else (-128, 128)
+
+    def mix(a, b):  # a in 70% of rows: a strong first stage
+        return np.where(rng.random(n) < 0.7, a, b)
+
+    cols = {"z_kp_lag": rng.integers(lo, hi, n), "z_of_lag": rng.integers(lo, hi, n),
+            "w": rng.integers(lo, hi, P)[player]}
+    cols["z_kp_lag"][:3] = lo
+    cols["x_kp"] = mix(cols["z_kp_lag"], rng.integers(lo, hi, n))
+    cols["x_of"] = mix(cols["z_of_lag"], rng.integers(lo, hi, n))
+    cols["y"] = mix(cols["x_kp"], cols["x_of"])
+    if dtype is np.int64:
+        cols["big"] = np.iinfo(np.int64).min + rng.integers(0, 2**20, P)[player] * 2**11
+    narrow = {c: v.astype(dtype) for c, v in cols.items()}
+    wide = {c: v.astype(np.float64) for c, v in narrow.items()}
+    return (PanelDataset(player, week, narrow), PanelDataset(player, week, wide),
+            [c for c in ("w", "big") if c in cols])
+
+
+def assert_same_fit(a, b):
+    assert a.terms == b.terms and a.dropped == b.dropped
+    assert np.array_equal(a.coef, b.coef) and np.array_equal(a.vcov, b.vcov)
+    assert a.ar_stat == b.ar_stat
+    for fa, fb in zip((*a.first_stage, a.reduced_form), (*b.first_stage, b.reduced_form)):
+        if fa is not None:
+            assert_same_fit(fa, fb)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.bool_])
+def test_integer_and_bool_columns_fit_bit_identically_to_float64(dtype):
+    narrow, wide, flat = int_panel(np.random.default_rng(41), dtype)
+    exog = tuple(flat)
+    for fit in (
+            lambda p: ols_fit(p, DesignSpec(outcome="y", endog=("x_kp",), exog=exog)),
+            lambda p: ols_fit(p, DesignSpec(outcome="y", endog=("x_kp", "x_of"),
+                                            exog=("z_kp_lag",), fixed_effects=())),
+            lambda p: tsls_fit(p, DesignSpec(outcome="y", endog=("x_kp",),
+                                             instruments=("z_kp_lag",), exog=exog)),
+            lambda p: heterogeneity_fit(p, method="2sls"),
+            lambda p: heterogeneity_fit(p, method="ols")):
+        a, b = fit(narrow), fit(wide)
+        assert_same_fit(a, b)
+    assert ols_fit(narrow, DesignSpec(outcome="y", endog=("x_kp",), exog=exog)
+                   ).dropped == exog
+
+
+@pytest.mark.parametrize("values, want", [
+    (np.array([-128, 5], dtype=np.int8), 128.0),
+    (np.array([np.iinfo(np.int64).min, 7]), 2.0**63),
+    (np.array([False, True]), 1.0),
+    (np.array([-0.5, 0.25]), 0.5)], ids=["int8", "int64", "bool", "float64"])
+def test_flat_scale_does_not_wrap_at_an_integer_minimum(values, want):
+    # np.abs keeps int8 -128 and the int64 minimum negative
+    assert _max_abs(values) == want
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from peerfx import (
     InsufficientPoolError,
     InvalidParameterError,
     PanelConfig,
+    PanelDataset,
     PeerTags,
     SimConfig,
     TagConfig,
@@ -491,6 +492,45 @@ def test_panel_determinism(monkeypatch):
     b = build_panel(net, sched, tags, groups, (25, 33))
     for name in a.columns:
         assert np.array_equal(a.columns[name], b.columns[name]), name
+
+
+@pytest.mark.parametrize("censor", [False, True], ids=["balanced", "censored"])
+@pytest.mark.parametrize("outcome", ["absorbing", "event"])
+@pytest.mark.parametrize("aggregation, dtype", [("any", np.int8), ("sum", np.int32),
+                                                ("mean", np.float64)])
+def test_panel_columns_keep_the_narrowest_exact_dtype(aggregation, dtype, outcome,
+                                                      censor, tmp_path):
+    # y and "any" columns are int8 0/1, "sum" columns the int32 counts and
+    # "mean" columns float64; panel.csv reads the same as from float64 columns
+    rng = np.random.default_rng(12)
+    edges = random_edges(rng, 40, 160, max_week=30)
+    net = build_network(edges)
+    buyers = np.unique(rng.integers(0, 40, 24))
+    sched = AdoptionSchedule(
+        "SMB", buyers, rng.integers(20, 40, buyers.size).astype(np.int64))
+    tags = tag_peers(net, katz_centrality(net, 26),
+                     TagConfig(30, kp_percentile=0.7, min_age_weeks=15))
+    inhabited = np.intersect1d(net.nodes, np.arange(40))
+    groups = make_groups(inhabited[:12], inhabited[12:24])
+    cfg = PanelConfig(outcome_mode=outcome, aggregation=aggregation,
+                      censor_after_purchase=censor)
+    panel = build_panel(net, sched, tags, groups, (27, 38), cfg)
+    assert panel.column("y").dtype == np.int8 and panel.column("y").any()
+    for name in fileio.PANEL_COLUMNS[1:]:
+        col = panel.column(name)
+        assert col.dtype == dtype and col.flags.c_contiguous, name
+        assert col.size == panel.n_rows, name
+    x = panel.column("x_friend")
+    if aggregation == "mean":
+        assert (x != np.round(x)).any()  # fractions print as floats
+    else:
+        assert x.max() > 1 if aggregation == "sum" else x.max() == 1
+    wide = PanelDataset(panel.player, panel.week,
+                        {n: c.astype(np.float64) for n, c in panel.columns.items()},
+                        panel.meta)
+    fileio.write_panel_csv(tmp_path / "narrow.csv", panel)
+    fileio.write_panel_csv(tmp_path / "wide.csv", wide)
+    assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
 
 
 # one (i, k) pair reached three ways: 1-2-5 through plain middle 2 from
