@@ -9,6 +9,8 @@ A setting the library reads is declared once, on the dataclass that reads
 it: ``SimConfig``, ``SimTruth``, ``PanelConfig`` or ``TagConfig``.  Its flag,
 config key, default and check come from there, and ``--help`` prints the
 default.  ``_CliSettings`` declares the settings no library class has.
+Those four classes live in ``settings``, so parsing loads no pipeline code:
+each command imports the modules it runs when it starts.
 
 Exit codes: 0 success, 1 toolkit/estimation failure (the error class name is
 part of the message), 2 configuration problems, a setting outside its
@@ -25,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimator, fileio, report
+from . import fileio
 from .errors import ConfigError, InvalidParameterError, PeerEffectsError
-from .graph import TagConfig, build_network, katz_centrality, tag_peers
-from .panel import (PanelConfig, PanelDataset, assign_groups,
-                    build_panel, build_playtime_crosssection, derive_schedule)
-from .simulate import SimConfig, SimTruth, run_simulation
+from .fileio import PanelDataset
+from .settings import PanelConfig, SimConfig, SimTruth, TagConfig
 
 
 @dataclass
@@ -129,6 +129,7 @@ def _require(cfg: RunConfig, *names: str):
 
 
 def _load_network(cfg: RunConfig):
+    from .graph import build_network
     _require(cfg, "edges")
     # the edge columns go in as a temporary, which build_network frees early
     return build_network(
@@ -181,6 +182,7 @@ def _tag_config(cfg: RunConfig) -> TagConfig:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    from .simulate import run_simulation
     games = tuple(g.strip() for g in cfg.sim_games.split(",") if g.strip())
     sim_cfg = _from_run_config(
         SimConfig, cfg, release_week=60 if cfg.release_week is None else cfg.release_week)
@@ -224,6 +226,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_build_panel(cfg: RunConfig) -> int:
+    from .graph import katz_centrality, tag_peers
+    from .panel import assign_groups, build_panel, derive_schedule
     _require(cfg, "edges", "achievements", "window_start", "window_end")
     panel_cfg = _from_run_config(PanelConfig, cfg)
     tc = _tag_config(cfg)
@@ -242,6 +246,7 @@ def cmd_build_panel(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    from . import estimator, report
     panel = _load_panel(cfg, ("y", "x_friend", "z_sd_lag"))
     ols = estimator.ols_fit(panel, estimator.DesignSpec(outcome="y", endog=("x_friend",)),
                             threads=cfg.threads)
@@ -262,6 +267,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_heterogeneity(cfg: RunConfig) -> int:
+    from . import estimator, report
     panel = _load_panel(cfg, ("y", "x_kp", "x_of", "z_kp_lag", "z_of_lag"))
     ols = estimator.heterogeneity_fit(panel, method="ols", threads=cfg.threads)
     named = [("ols", ols)]
@@ -282,6 +288,9 @@ def cmd_heterogeneity(cfg: RunConfig) -> int:
 
 
 def cmd_playtime(cfg: RunConfig) -> int:
+    from . import estimator, report
+    from .graph import katz_centrality, tag_peers
+    from .panel import build_playtime_crosssection, derive_schedule
     _require(cfg, "achievements", "playtime", "covariates")
     tc = _tag_config(cfg)
     net = _load_network(cfg)
@@ -324,6 +333,7 @@ def cmd_playtime(cfg: RunConfig) -> int:
 
 
 def cmd_katz(cfg: RunConfig) -> int:
+    from .graph import katz_centrality
     _require(cfg, "week")
     net = _load_network(cfg)
     scores = katz_centrality(net, cfg.week, alpha=cfg.katz_alpha)
@@ -337,6 +347,7 @@ def cmd_katz(cfg: RunConfig) -> int:
 
 
 def cmd_series(cfg: RunConfig) -> int:
+    from .panel import derive_schedule
     _require(cfg, "achievements", "window_start", "window_end")
     events = fileio.read_achievements_csv(cfg.achievements)
     schedule = derive_schedule(events, cfg.game, epoch_unix=cfg.epoch_unix)

@@ -24,10 +24,8 @@ block partials.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +76,7 @@ def _crossprod(A: np.ndarray, B: np.ndarray, threads: int = 1) -> np.ndarray:
         return np.einsum("ij,ik->jk", A[s:s + _BLOCK_ROWS], B[s:s + _BLOCK_ROWS])
 
     if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imports logging
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(part, starts))
     else:
@@ -253,6 +252,7 @@ class FitResult:
         return np.array([_two_sided_p(z) for z in self.tstats()], dtype=np.float64)
 
     def conf_int(self, level: float = 0.95) -> np.ndarray:
+        from statistics import NormalDist  # no command reads an interval
         half = NormalDist().inv_cdf(0.5 + level / 2.0) * self.se
         return np.column_stack((self.coef - half, self.coef + half))
 
@@ -369,10 +369,16 @@ def _fit_core(panel, spec: DesignSpec, threads, model: str) -> FitResult:
 
     add_const = not spec.fixed_effects
     data = within_transform(panel, list(originals), spec.fixed_effects)._arrays
-    # no absorbed intercept: include one and test variation around it
-    varied = {k: v - v.mean() for k, v in data.items()} if add_const else data
+
+    def spread(v):  # no absorbed intercept: one is included, so vary around it
+        if not add_const:
+            return _max_abs(v)
+        # max |v - mean| bit for bit (rounding is monotone), with no centred copy
+        m = v.mean()
+        return max(float(v.max() - m), float(m - v.min()))
+
     # flat: nothing left above _DEGENERATE_RTOL of the column's own scale
-    flat = {c for c in names if _max_abs(varied[c])
+    flat = {c for c in names if spread(data[c])
             <= _DEGENERATE_RTOL * max(1.0, _max_abs(originals[c]))}
     kept = [(x, z) for x, z in pairs if x not in flat and z not in flat]
     dropped = [x if x in flat else z for x, z in pairs if x in flat or z in flat]

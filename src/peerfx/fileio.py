@@ -8,6 +8,8 @@ by ``_write_table``; only the estimates writer (report precision) differs.
 All writers are atomic (temp file in the target directory + rename), so a
 killed run never leaves a partial file at the final path.  Paths ending in
 ``.gz`` are transparently gzip-compressed where the format allows it.
+The panel's in-memory form, :class:`PanelDataset`, is defined beside its
+file form, so a process that only fits a panel loads no panel-building code.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import tempfile
 import warnings
 import zlib
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, InvalidParameterError, ParseError
 
 
 @contextmanager
@@ -274,7 +277,8 @@ def read_node_filter_csv(path):
     """Read ``player_id,total_playtime_minutes``; returns ids with playtime > 0."""
     player, minutes = _read_table(path, ("player_id", "total_playtime_minutes"),
                                   (_ID, _FLOAT))
-    return np.unique(player[minutes > 0])
+    from .graph import _unique  # a filter is read only to build a graph
+    return _unique(player[minutes > 0])
 
 
 def read_achievements_csv(path):
@@ -307,6 +311,54 @@ def read_covariates_csv(path):
 
 def write_covariates_csv(path, players, num_games, num_groups, start_week):
     _write_table(path, _COVARIATE_HEADER, (players, num_games, num_groups, start_week))
+
+
+@dataclass
+class PanelDataset:
+    """Columnar player-by-week panel.
+
+    Rows are ordered player-major (ascending player id, then week).  With
+    censoring off the panel is exactly balanced:
+    ``n_rows == n_players * (w_end - w_start)``.  ``player`` and ``week``
+    are int64.  A value column keeps the narrowest dtype that holds it
+    exactly: from ``panel.build_panel``, ``y`` is int8 0/1 and the others
+    int8 0/1 under the "any" aggregation, int32 counts under "sum" and
+    float64 under "mean"; read back by the CLI, a column of integers in
+    int8's range is int8 and any other float64.  The estimator reads every
+    integer dtype as float64, so the dtype never changes a fit.
+    """
+
+    player: np.ndarray
+    week: np.ndarray
+    columns: dict
+    meta: dict = field(default_factory=dict)
+    _codes: dict = field(default_factory=dict, repr=False, compare=False)
+    # estimator.within_transform's per-panel memo: FE systems and demeaned columns
+    _within: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.player.size)
+
+    def column(self, name: str) -> np.ndarray:
+        if name == "player":
+            return self.player
+        if name == "week":
+            return self.week
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise InvalidParameterError(f"panel has no column {name!r}") from None
+
+    def codes(self, dim: str) -> np.ndarray:
+        """Dense 0..G-1 group codes of a column, e.g. 'player' or 'week'.
+        Kept while ``column(dim)`` is the same array object."""
+        col = self.column(dim)
+        hit = self._codes.get(dim)
+        if hit is None or hit[0] is not col:
+            _, inv = np.unique(col, return_inverse=True)
+            hit = self._codes[dim] = (col, inv.astype(np.int64, copy=False))
+        return hit[1]
 
 
 PANEL_COLUMNS = ("y", "x_friend", "z_sd_lag", "x_kp", "x_of", "z_kp_lag", "z_of_lag")

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DivergedError, InvalidParameterError, NotFoundError
+from .settings import TagConfig
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -56,6 +57,24 @@ def _unique(x: np.ndarray) -> np.ndarray:
     keep = np.ones(s.size, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]
+
+
+def _quantile(vals: np.ndarray, q: float):
+    """``np.quantile(vals, q)`` bit for bit for a non-empty float array and
+    ``0 <= q <= 1``: numpy's default "linear" rule and its ``_lerp``, with
+    no ``np.unique`` call, which in numpy 2.4 imports ``numpy.ma``."""
+    n = vals.size
+    vi = (n - 1) * q
+    # numpy takes index -1 on both sides at or past the last value, and
+    # measures the weight from that -1
+    lo = -1 if vi >= n - 1 else math.floor(vi)
+    hi = -1 if lo == -1 else lo + 1
+    part = np.partition(vals, (0, lo, hi, -1))  # a NaN sorts to the end
+    if np.isnan(part[-1]):
+        return part[-1]
+    a, b, t = part[lo], part[hi], vi - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def week_of_unix(unix, epoch_unix: int = 0):
@@ -142,7 +161,7 @@ class TemporalNetwork:
         """Friends-of-friends at week t, excluding direct friends and i itself."""
         ix = self.index_of(i)
         js = self._as_of([ix], t)
-        second = np.unique(self._as_of(js, t))
+        second = _unique(self._as_of(js, t))
         second = second[~_lookup(js, second)[1] & (second != ix)]  # js ascends
         return self.nodes[second]
 
@@ -302,7 +321,8 @@ def build_network(
         a, b, f = a[~selfloop], b[~selfloop], f[~selfloop]
 
     if nodes is not None:
-        universe = np.unique(np.asarray(list(nodes), dtype=np.int64))
+        universe = _unique(np.asarray(
+            nodes if isinstance(nodes, np.ndarray) else list(nodes), dtype=np.int64))
     else:
         # two small unique sets, not one sort of both whole columns
         universe = _unique(np.concatenate((_unique(a), _unique(b))))
@@ -310,7 +330,7 @@ def build_network(
         raise InvalidParameterError("player ids must be non-negative")
 
     if node_filter is not None:
-        keep_mask = _lookup(np.unique(np.fromiter(node_filter, np.int64)), universe)[1]
+        keep_mask = _lookup(_unique(np.fromiter(node_filter, np.int64)), universe)[1]
         diagnostics["filtered_nodes"] = int((~keep_mask).sum())
         universe = universe[keep_mask]
 
@@ -467,42 +487,6 @@ def katz_centrality(net: TemporalNetwork, t: int, alpha: float | None = None,
     return CentralityScores(net.nodes, x, int(t), alpha, iterations, converged)
 
 
-@dataclass(frozen=True)
-class TagConfig:
-    """The tag rule, read at ``reference_week = release_week - 4`` so that
-    tags are fixed before the release.  Key players score at or above the
-    ``kp_percentile`` Katz quantile (ties all included) over all nodes, or
-    over nodes with an edge when ``connected_only``.  Old friends are edges
-    at least ``min_age_weeks`` (>= 0) old then: formed by ``old_friend_cutoff``,
-    never after the reference week."""
-
-    release_week: int | None
-    kp_percentile: float = 0.99
-    min_age_weeks: int = 52
-    connected_only: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.kp_percentile < 1.0:
-            raise InvalidParameterError(
-                f"kp_percentile must be in (0, 1), got {self.kp_percentile!r}")
-        if self.min_age_weeks < 0:
-            raise InvalidParameterError(
-                f"min_age_weeks must be non-negative, got {self.min_age_weeks!r}")
-        if self.release_week is None:
-            raise InvalidParameterError("release_week is required (or set window_start)")
-        if self.release_week < 4:
-            raise InvalidParameterError(
-                f"release_week must be at least 4, got {self.release_week!r}")
-
-    @property
-    def reference_week(self) -> int:
-        return int(self.release_week) - 4
-
-    @property
-    def old_friend_cutoff(self) -> int:
-        return self.reference_week - int(self.min_age_weeks)
-
-
 @dataclass
 class PeerTags:
     """Key players and the old-friend rule under a :class:`TagConfig`.
@@ -546,7 +530,7 @@ def tag_peers(net: TemporalNetwork, scores: CentralityScores,
         threshold = np.inf
         kp = net.nodes[:0]
     else:
-        threshold = float(np.quantile(vals, cfg.kp_percentile))
+        threshold = float(_quantile(vals, cfg.kp_percentile))
         kp = net.nodes[scores.values >= threshold]
     return PeerTags(kp, cfg.reference_week, cfg.old_friend_cutoff,
                     float(cfg.kp_percentile), threshold, net)

@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientPoolError, InvalidParameterError, ParseError
-from .graph import NEVER, PeerTags, TemporalNetwork, _lookup, as_columns, week_of_unix
+from .fileio import PanelDataset
+from .graph import (NEVER, PeerTags, TemporalNetwork, _lookup, _unique, as_columns,
+                    week_of_unix)
+from .settings import PanelConfig
 
 
 @dataclass
@@ -102,7 +105,7 @@ class GroupAssignment:
     n_dropped_treatment: int = 0
 
     def all_players(self) -> np.ndarray:
-        return np.unique(np.concatenate((self.treatment, self.control)))
+        return _unique(np.concatenate((self.treatment, self.control)))
 
 
 def _fisher_yates_prefix(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -153,79 +156,6 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
         n_dropped = int((~keep).sum())
         treatment = treatment[keep]
     return GroupAssignment(treatment, control, int(seed), int(n_per_group), n_dropped)
-
-
-@dataclass
-class PanelConfig:
-    """Mode flags for panel assembly.
-
-    outcome_mode : "absorbing" (y = owns by week t; the headline default)
-        or "event" (y = purchased exactly in week t).
-    aggregation : "any" (binary, headline-table default), "sum", or "mean"
-        over the contributing friend / second-degree sets.  The instrument
-        mirrors the regressor's mode.
-    censor_after_purchase : drop a player's rows after their own purchase
-        week (the purchase-week row itself is kept).  Breaks exact balance;
-        off by default.
-    """
-
-    outcome_mode: str = "absorbing"
-    aggregation: str = "any"
-    censor_after_purchase: bool = False
-
-    def __post_init__(self):
-        if self.outcome_mode not in ("absorbing", "event"):
-            raise InvalidParameterError(f"unknown outcome_mode {self.outcome_mode!r}")
-        if self.aggregation not in ("any", "sum", "mean"):
-            raise InvalidParameterError(f"unknown aggregation {self.aggregation!r}")
-
-
-@dataclass
-class PanelDataset:
-    """Columnar player-by-week panel.
-
-    Rows are ordered player-major (ascending player id, then week).  With
-    censoring off the panel is exactly balanced:
-    ``n_rows == n_players * (w_end - w_start)``.  ``player`` and ``week``
-    are int64.  A value column keeps the narrowest dtype that holds it
-    exactly: from :func:`build_panel`, ``y`` is int8 0/1 and the others
-    int8 0/1 under the "any" aggregation, int32 counts under "sum" and
-    float64 under "mean"; read back by the CLI, a column of integers in
-    int8's range is int8 and any other float64.  The estimator reads every
-    integer dtype as float64, so the dtype never changes a fit.
-    """
-
-    player: np.ndarray
-    week: np.ndarray
-    columns: dict
-    meta: dict = field(default_factory=dict)
-    _codes: dict = field(default_factory=dict, repr=False, compare=False)
-    # estimator.within_transform's per-panel memo: FE systems and demeaned columns
-    _within: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.player.size)
-
-    def column(self, name: str) -> np.ndarray:
-        if name == "player":
-            return self.player
-        if name == "week":
-            return self.week
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise InvalidParameterError(f"panel has no column {name!r}") from None
-
-    def codes(self, dim: str) -> np.ndarray:
-        """Dense 0..G-1 group codes of a column, e.g. 'player' or 'week'.
-        Kept while ``column(dim)`` is the same array object."""
-        col = self.column(dim)
-        hit = self._codes.get(dim)
-        if hit is None or hit[0] is not col:
-            _, inv = np.unique(col, return_inverse=True)
-            hit = self._codes[dim] = (col, inv.astype(np.int64, copy=False))
-        return hit[1]
 
 
 def expected_row_count(n_players: int, window) -> int:

@@ -1014,6 +1014,52 @@ def test_cli_import_and_fits_load_no_scipy(panel_path, tmp_path):
     assert lines[-1] == "[]"
 
 
+_NO_PIPELINE = ("peerfx.graph", "peerfx.panel", "peerfx.simulate", "numpy.ma",
+                "concurrent.futures", "statistics")
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("estimate", _NO_PIPELINE),
+    ("heterogeneity", _NO_PIPELINE),
+    ("build-panel", ("peerfx.simulate", "peerfx.estimator", "peerfx.report", "numpy.ma")),
+    ("simulate", ("peerfx.estimator", "peerfx.report", "numpy.ma")),
+    ("playtime", ("numpy.ma",)),
+], ids=["estimate", "heterogeneity", "build-panel", "simulate", "playtime"])
+def test_each_command_loads_only_the_modules_it_runs(command, absent, sim_dir,
+                                                     panel_path, tmp_path):
+    """Importing ``peerfx.cli`` loads only the parser's modules, and each
+    command then imports the code it calls and no more: the fits load
+    neither the graph code nor ``statistics`` or a thread pool, and no
+    command loads ``numpy.ma`` (numpy 2.4's plain ``np.unique`` imports it)."""
+    inputs = ["--edges", str(sim_dir / "edges.csv"),
+              "--achievements", str(sim_dir / "achievements.csv")]
+    argv = {
+        "estimate": ["estimate", "--panel", str(panel_path), "--out", str(tmp_path)],
+        "heterogeneity": ["heterogeneity", "--panel", str(panel_path),
+                          "--out", str(tmp_path)],
+        "build-panel": ["build-panel", *inputs, "--out", str(tmp_path / "panel.csv"),
+                        "--release-week", "10", "--window-start", "10",
+                        "--window-end", "29", "--n-per-group", "60", "--seed", "3"],
+        "simulate": ["simulate", "--out", str(tmp_path), *SIM_ARGS],
+        "playtime": ["playtime", *inputs, "--playtime", str(sim_dir / "playtime.csv"),
+                     "--covariates", str(sim_dir / "covariates.csv"),
+                     "--release-week", "10", "--out", str(tmp_path)],
+    }[command]
+    probe = (
+        "import sys\n"
+        "from peerfx.cli import main\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'peerfx'))\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print([m for m in {absent!r} if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_checkout_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == str(["peerfx", "peerfx.cli", "peerfx.errors", "peerfx.fileio",
+                            "peerfx.settings"])
+    assert lines[-1] == "[]"
+
+
 def test_katz_commands_load_no_scipy(tmp_path):
     """``simulate``, ``build-panel``, ``playtime`` and ``katz`` compute Katz
     centrality on numpy alone: no scipy module is loaded."""

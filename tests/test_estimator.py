@@ -26,7 +26,7 @@ from peerfx import (
     tsls_fit,
     within_transform,
 )
-from peerfx.estimator import _max_abs
+from peerfx.estimator import _DEGENERATE_RTOL, PLAYTIME_COVARIATES, _max_abs
 from peerfx.panel import PLAYTIME_DTYPE
 
 from conftest import (
@@ -769,6 +769,82 @@ def test_playtime_bad_inputs():
         playtime_fit(rows, variant=5)
     with pytest.raises(InvalidParameterError):
         playtime_fit([], variant=1)
+
+
+def edge_rows(rng, n=400):
+    """A playtime table (dict of columns) whose covariates are flat in
+    different ways: constant, near-constant in float64 and at the int64
+    maximum, int8 -128 throughout; ``num_friends`` varies over int8's two
+    extremes."""
+    cols = {"log_playtime": rng.normal(2.8, 1.0, n)}
+    for d in ("kp_purchase", "of_purchase", "no_friend_purchase"):
+        cols[d] = (rng.random(n) < 0.3).astype(np.int64)
+    cols["num_games"] = np.full(n, 7.0)
+    cols["num_groups"] = np.full(n, 1000.0)
+    cols["num_groups"][5] += 1e-6
+    cols["start_week"] = rng.integers(0, 60, n).astype(np.float64)
+    cols["num_friends"] = np.where(rng.random(n) < 0.5, -128, 127).astype(np.int8)
+    cols["owns_smb"] = np.full(n, -128, dtype=np.int8)
+    cols["owns_nv"] = np.full(n, np.iinfo(np.int64).max)
+    cols["owns_nv"][::7] -= 4096
+    return cols
+
+
+def centred_flat(col):
+    """The pooled flat rule on a centred copy: max |v - mean(v)| against the
+    column's own scale."""
+    v = np.asarray(col, dtype=np.float64)
+    return _max_abs(v - v.mean()) <= _DEGENERATE_RTOL * max(1.0, _max_abs(col))
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3, 4])
+def test_playtime_flat_decisions_and_fits_match_the_centred_copy_rule(variant):
+    rows = edge_rows(np.random.default_rng(43))
+    fit = playtime_fit(rows, variant=variant)
+    names = [t for t in (*(("no_friend_purchase",) if variant == 1 else
+                           ("kp_purchase", "of_purchase", "no_friend_purchase")),
+                         *PLAYTIME_COVARIATES)]
+    assert fit.dropped == tuple(c for c in names if centred_flat(rows[c]))
+    assert fit.dropped == ("num_games", "num_groups", "owns_smb", "owns_nv")
+    kept = tuple(c for c in names if c not in fit.dropped)
+    ref = ols_fit(rows, DesignSpec(outcome="log_playtime", exog=kept,
+                                   fixed_effects=(), cluster=None))
+    assert ref.terms == fit.terms and not ref.dropped
+    assert np.array_equal(ref.coef, fit.coef) and np.array_equal(ref.vcov, fit.vcov)
+    # on either side of the threshold the decision is the centred rule's
+    col = np.ones(400)
+    for step in range(-40, 41):
+        col[0] = 1.0 + 1e-8 * 400 / 399 + step * 2.0**-52
+        rows["num_games"] = col.copy()
+        try:
+            dropped = "num_games" in playtime_fit(rows, variant=variant).dropped
+        except RankDeficientError:  # kept, and collinear with the intercept
+            dropped = False
+        assert dropped == centred_flat(col), step
+
+
+def test_playtime_fit_traced_memory_at_the_x2_shape():
+    """37,510 rows, the x2 cross-section.  The flat test once centred a copy
+    of every column, which took the variant-2 fit to 32 column-sizes of
+    traced memory; it now reads each column's extremes and mean (22)."""
+    rng = np.random.default_rng(44)
+    n = 37_510
+    rows = np.zeros(n, dtype=PLAYTIME_DTYPE)
+    rows["game"] = "SMB"
+    rows["log_playtime"] = rng.normal(2.8, 1.0, n)
+    for c in ("kp_purchase", "of_purchase", "no_friend_purchase", "owns_smb", "owns_nv"):
+        rows[c] = rng.random(n) < 0.3
+    for c, hi in (("num_games", 40), ("num_groups", 8), ("start_week", 60),
+                  ("num_friends", 30)):
+        rows[c] = rng.integers(0, hi, n)
+    tracemalloc.start()
+    try:
+        fit = playtime_fit(rows.view(np.recarray), variant=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fit.terms) == 10 and not fit.dropped
+    assert peak < 26 * 8 * n, f"traced peak {peak / (8 * n):.1f} columns"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import peerfx
 from peerfx import (NEVER, DivergedError, InvalidParameterError, NotFoundError, PeerTags,
                     TagConfig, build_network, katz_centrality, tag_peers, week_of_unix)
-from peerfx.graph import _WIDE_SLOT, _lookup, second_degree_counts
+from peerfx.graph import _WIDE_SLOT, _lookup, _quantile, second_degree_counts
 
 from conftest import (adjacency_oracle, katz_alpha_oracle, katz_dense_oracle,
                       neighbors_oracle, random_edges, second_degree_oracle)
@@ -387,6 +387,52 @@ def test_tag_peers_top_percentile_with_ties():
     threshold = np.quantile(scores.values, 0.99)
     expect = net.nodes[scores.values >= threshold]
     assert tags.key_players.tolist() == expect.tolist()
+    assert tags.threshold == threshold
+
+
+def _quantile_cases(rng):
+    yield "random", rng.random(1000)
+    yield "tied", rng.integers(0, 4, 997).astype(np.float64)
+    for n in (1, 2):
+        yield f"n={n}", rng.normal(0.0, 1.0, n)
+    yield "negative zero", np.array([-0.0, -0.0, 1.0])
+    yield "infinite", np.array([-np.inf, 1.0, 2.0, np.inf])
+    yield "nan", np.array([3.0, np.nan, 1.0, 2.0])
+    yield "subnormal", rng.random(500) * 1e-310
+    yield "cauchy", rng.standard_cauchy(2000)
+    yield "lognormal", np.exp(rng.normal(0.0, 30.0, 2000))
+    for trial in range(300):
+        yield f"random n #{trial}", rng.normal(0.0, 1.0, int(rng.integers(1, 200)))
+
+
+def test_quantile_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(45)
+    for name, vals in _quantile_cases(rng):
+        for q in (0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0, *rng.random(5)):
+            with np.errstate(invalid="ignore"):  # inf - inf in the lerp
+                want = np.quantile(vals, q)
+                got = _quantile(vals, q)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (name, q)
+
+
+def test_public_api_resolves_lazily_to_the_defining_modules():
+    import peerfx.fileio
+    import peerfx.panel
+    import peerfx.settings
+    import peerfx.simulate
+    for name in peerfx.__all__:
+        assert getattr(peerfx, name) is not None, name
+    assert set(peerfx.__all__) <= set(dir(peerfx))
+    namespace = {}
+    exec("from peerfx import *", namespace)
+    assert set(peerfx.__all__) <= set(namespace)
+    assert peerfx.graph.TagConfig is peerfx.TagConfig is peerfx.settings.TagConfig
+    assert peerfx.panel.PanelConfig is peerfx.PanelConfig
+    assert peerfx.simulate.SimConfig is peerfx.SimConfig
+    assert peerfx.simulate.SimTruth is peerfx.SimTruth
+    assert peerfx.panel.PanelDataset is peerfx.PanelDataset is peerfx.fileio.PanelDataset
+    with pytest.raises(AttributeError):
+        peerfx.no_such_name
 
 
 def test_tag_peers_old_friend_boundary():
