@@ -115,6 +115,7 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
         "threads": (cfg.threads >= 1, "at least 1"),
         "method": (cfg.method in ("2sls", "ols"), "2sls or ols"),
         "n_per_group": (cfg.n_per_group >= 0, "non-negative"),
+        "seed": (cfg.seed >= 0, "non-negative"),
         "katz_alpha": (cfg.katz_alpha is None or cfg.katz_alpha > 0.0, "positive")}
     for name, (ok, rule) in rules.items():
         if not ok:

@@ -172,41 +172,44 @@ class TemporalNetwork:
         The rows are ranked by week-t degree, descending (stable).  Slot j
         holds the j-th kept neighbour, in CSR order, of every row with more
         than j, at the row's rank, so the rows a slot reaches are a prefix of
-        the ranking.  A call gathers ``v`` over all slots at once and adds
-        each slot as one slice, ``out[:width] += slot``.  Every row therefore
-        sums ``((0 + v[c0]) + v[c1]) + ...`` in CSR order, exactly as a
-        sparse matvec does.  Slots narrower than ``_WIDE_SLOT`` rows, which
-        only the few highest-degree rows reach, would each cost a call for
-        little work; they are added by one ``np.add.at`` in slot order,
-        which keeps each row's order.
+        the ranking.  The slots lie one after another in one intp array,
+        each wide slot filled by one gather from the kept neighbours.  A call
+        adds each slot as one slice, ``out[:width] += v[slot]``, gathering
+        ``v`` for that slot only.  Every row therefore sums
+        ``((0 + v[c0]) + v[c1]) + ...`` in CSR order, exactly as a sparse
+        matvec does.  Slots narrower than ``_WIDE_SLOT`` rows, which only the
+        few highest-degree rows reach, would each cost a call for little
+        work; they are filled and added by one vectorized step each (the
+        sum by one ``np.add.at`` in slot order, which keeps each row's
+        order).
         """
         n = self.n_nodes
-        keep, kptr = self._view_at(t)
+        pos, kptr = self._view_at(t)
+        kept = self.nbr[pos]  # the kept neighbours, int32
+        del pos
         deg = np.diff(kptr)
         order = np.argsort(-deg, kind="stable")
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
+        first = kptr[order]  # each ranked row's first kept entry
         width = n - np.cumsum(np.bincount(deg))[:-1]  # rows with more than j
         bounds = np.zeros(width.size + 1, dtype=np.int64)
         np.cumsum(width, out=bounds[1:])
-        at = np.arange(kptr[-1], dtype=np.int64)
-        at -= np.repeat(kptr[:-1], deg)  # a kept entry's slot: its place in its row
-        at = bounds[at]
-        at += np.repeat(rank, deg)
-        cols = np.empty(at.size, dtype=np.intp)  # gathers faster than int32
-        cols[at] = self.nbr[keep]
-        del at
         wide = int(np.count_nonzero(width >= _WIDE_SLOT))
         spans = list(zip(bounds[:wide].tolist(), bounds[1:wide + 1].tolist()))
         cut = int(bounds[wide])
-        tail = np.arange(cut, cols.size) - np.repeat(bounds[wide:-1], width[wide:])
+        tail = np.arange(cut, kept.size) - np.repeat(bounds[wide:-1], width[wide:])
+        cols = np.empty(kept.size, dtype=np.intp)  # gathers faster than int32
+        for j, (lo, hi) in enumerate(spans):
+            cols[lo:hi] = kept[first[:hi - lo] + j]
+        cols[cut:] = kept[first[tail] + np.repeat(np.arange(wide, width.size), width[wide:])]
+        del kept, first
 
         def matvec(v):
-            g = v[cols]
             out = np.zeros(n)
             for lo, hi in spans:
-                out[:hi - lo] += g[lo:hi]
-            np.add.at(out, tail, g[cut:])
+                out[:hi - lo] += v[cols[lo:hi]]
+            np.add.at(out, tail, v[cols[cut:]])
             return out[rank]
         return matvec
 
@@ -225,18 +228,17 @@ class TemporalNetwork:
         return out
 
     def _view_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The week-t view as (mask of kept entries, its CSR row pointers)."""
-        keep = self.formed <= t
-        csum = np.zeros(self.nbr.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=csum[1:])
-        return keep, csum[self.indptr]
+        """The week-t view as (positions of the kept entries, its CSR row
+        pointers): a row's pointer counts the kept entries before it."""
+        kept = np.flatnonzero(self.formed <= t)
+        return kept, np.searchsorted(kept, self.indptr)
 
     def csr_at(self, t: int) -> sp.csr_matrix:
         """0/1 adjacency of the week-t view as a scipy CSR matrix."""
         import scipy.sparse as sp  # only the sparse-matrix paths pay for it
-        keep, indptr = self._view_at(t)
+        kept, indptr = self._view_at(t)
         data = np.ones(int(indptr[-1]), dtype=np.int32)
-        return sp.csr_matrix((data, self.nbr[keep], indptr),
+        return sp.csr_matrix((data, self.nbr[kept], indptr),
                              shape=(self.n_nodes, self.n_nodes))
 
     def edge_array(self):

@@ -15,6 +15,7 @@ loop is ever executed.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -108,15 +109,99 @@ class GroupAssignment:
         return _unique(np.concatenate((self.treatment, self.control)))
 
 
-def _fisher_yates_prefix(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """First k entries of a seeded Fisher-Yates shuffle of ``pool`` (sorted ids in)."""
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+class _Pcg64:
+    """The bounded draws of ``np.random.default_rng(seed)`` in pure Python,
+    so that sampling does not import ``numpy.random`` (about 5 MB of RSS).
+
+    ``below(high)`` gives what ``integers(0, highs)`` gives for the next
+    entry of an int64 array ``highs``, and successive calls continue one
+    stream.  The parts are numpy's: ``SeedSequence(seed)`` hashes the
+    seed's 32-bit words into a 4-word pool and mixes it, and
+    ``generate_state(4, uint64)`` seeds PCG64 (O'Neill 2014: a 128-bit LCG
+    with the XSL-RR output).  A 32-bit draw is the low half of the next
+    64-bit output, with the high half kept for the call after, and a
+    bounded draw is Lemire's (2019) multiply-and-reject on 32-bit draws.
+    Only numpy's 32-bit branch is ported: ``high`` must be at most
+    ``2**32 - 1``, which a pool under ``build_network``'s node limit is.
+    """
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise InvalidParameterError(f"seed must be non-negative, got {seed}")
+        words = [seed & _M32]  # little-endian 32-bit words, at least one
+        while seed > _M32:
+            seed >>= 32
+            words.append(seed & _M32)
+        hash_const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * 0x931E8875 & _M32
+            value = value * hash_const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        state, hash_const = [], 0x8B51F9DD
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * 0x58F38DED & _M32
+            value = value * hash_const & _M32
+            state.append(value ^ value >> 16)
+        s0, s1, i0, i1 = (state[2 * j] | state[2 * j + 1] << 32 for j in range(4))
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self._state = ((self._inc + (s0 << 64 | s1)) * self._MULT + self._inc) & _M128
+        self._high = None
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            out, self._high = self._high, None
+            return out
+        s = self._state = (self._state * self._MULT + self._inc) & _M128
+        rot = s >> 122
+        x = (s >> 64 ^ s) & _M64
+        x = (x >> rot | x << (64 - rot)) & _M64
+        self._high = x >> 32
+        return x & _M32
+
+    def below(self, high: int) -> int:
+        """A uniform draw from ``range(high)``, ``1 <= high <= 2**32 - 1``."""
+        if high > _M32:
+            raise InvalidParameterError(f"draw bound {high} is above 2**32 - 1")
+        if high == 1:
+            return 0  # numpy draws nothing for a one-value range
+        m = self._next32() * high
+        if m & _M32 < high:
+            threshold = (2**32 - high) % high
+            while m & _M32 < threshold:
+                m = self._next32() * high
+        return m >> 32
+
+
+def _fisher_yates_prefix(pool: np.ndarray, k: int, rng: _Pcg64) -> np.ndarray:
+    """First k entries of a seeded Fisher-Yates shuffle of ``pool`` (sorted
+    ids in); the swaps draw ``default_rng(seed).integers(0, n - arange(k))``."""
     arr = pool.copy()
     n = arr.size
-    if k == 0:
-        return arr[:0]
-    draws = rng.integers(0, n - np.arange(k))
     for i in range(k):
-        j = i + int(draws[i])
+        j = i + rng.below(n - i)
         arr[i], arr[j] = arr[j], arr[i]
     return np.sort(arr[:k])
 
@@ -130,10 +215,13 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
     purchases ALL fall after the horizon are dropped post-sampling (their
     exposure never materializes inside the study window), so the realized
     treatment group may be smaller than requested.  Sampling is a seeded
-    Fisher-Yates prefix per pool, treatment drawn first.
+    Fisher-Yates prefix per pool, treatment drawn first, from one stream
+    that is exactly ``np.random.default_rng(seed)``'s; ``seed`` must be a
+    non-negative integer.
     """
     if n_per_group < 0:
         raise InvalidParameterError("n_per_group must be non-negative")
+    rng = _Pcg64(seed)
     deg = net.degrees()
     weeks = schedule.weeks_for(net.nodes)
     has_adopting_friend = net.has_flagged_friend(weeks != NEVER)
@@ -145,7 +233,6 @@ def assign_groups(net: TemporalNetwork, schedule: AdoptionSchedule, n_per_group:
             f"(treatment {treat_pool.size}, control {control_pool.size})",
             {"treatment": int(treat_pool.size), "control": int(control_pool.size)})
 
-    rng = np.random.default_rng(seed)
     treatment = _fisher_yates_prefix(treat_pool, n_per_group, rng)
     control = _fisher_yates_prefix(control_pool, n_per_group, rng)
 

@@ -45,6 +45,8 @@ class SimConfig:
         if self.degree_dist == "powerlaw" and not self.powerlaw_exponent > 2.0:
             raise InvalidParameterError(
                 "powerlaw_exponent must exceed 2 (finite mean degree)")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.key_player_share < 1.0:
             raise InvalidParameterError("key_player_share must be in (0, 1)")
         self.tags  # the tag rule checks the release week

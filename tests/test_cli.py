@@ -242,9 +242,11 @@ def test_rejected_setting_is_exit_2_before_any_input_is_read(tmp_path, capsys,
     (["--sigma-alpha", "-1"], "sigma_alpha must be non-negative, got -1.0"),
     (["--prob-noise-sd", "-1"], "prob_noise_sd must be non-negative, got -1.0"),
     (["--degree-dist", "powerlaw", "--powerlaw-exponent", "nan"],
-     "powerlaw_exponent must exceed 2 (finite mean degree)")],
+     "powerlaw_exponent must exceed 2 (finite mean degree)"),
+    (["--seed", "-1"], "seed must be non-negative, got -1")],
     ids=["playtime-mu-nan", "beta-nan", "baseline-hazard-nan", "noise-sd-negative",
-         "sigma-alpha-negative", "prob-noise-sd-negative", "powerlaw-exponent-nan"])
+         "sigma-alpha-negative", "prob-noise-sd-negative", "powerlaw-exponent-nan",
+         "seed-negative"])
 def test_simulate_rejects_a_non_finite_or_negative_setting_before_writing(
         tmp_path, capsys, flags, message):
     out = tmp_path / "o"
@@ -283,6 +285,8 @@ def test_threads_below_one_is_exit_2_before_any_input_is_read(tmp_path, capsys, 
     ("build-panel", "katz_alpha", "-1", "flag"),
     ("build-panel", "katz_alpha", "0", "config"),
     ("build-panel", "min_age_weeks", "-5", "flag"),
+    ("build-panel", "seed", "-1", "flag"),
+    ("build-panel", "seed", "-1", "config"),
     ("playtime", "kp_percentile", "1.5", "flag"),
     ("playtime", "min_age_weeks", "-5", "flag"),
     ("katz", "katz_alpha", "-1", "flag")])
@@ -1021,16 +1025,18 @@ _NO_PIPELINE = ("peerfx.graph", "peerfx.panel", "peerfx.simulate", "numpy.ma",
 @pytest.mark.parametrize("command, absent", [
     ("estimate", _NO_PIPELINE),
     ("heterogeneity", _NO_PIPELINE),
-    ("build-panel", ("peerfx.simulate", "peerfx.estimator", "peerfx.report", "numpy.ma")),
+    ("build-panel", ("peerfx.simulate", "peerfx.estimator", "peerfx.report", "numpy.ma",
+                     "numpy.random")),
     ("simulate", ("peerfx.estimator", "peerfx.report", "numpy.ma")),
-    ("playtime", ("numpy.ma",)),
+    ("playtime", ("numpy.ma", "numpy.random")),
 ], ids=["estimate", "heterogeneity", "build-panel", "simulate", "playtime"])
 def test_each_command_loads_only_the_modules_it_runs(command, absent, sim_dir,
                                                      panel_path, tmp_path):
     """Importing ``peerfx.cli`` loads only the parser's modules, and each
     command then imports the code it calls and no more: the fits load
-    neither the graph code nor ``statistics`` or a thread pool, and no
-    command loads ``numpy.ma`` (numpy 2.4's plain ``np.unique`` imports it)."""
+    neither the graph code nor ``statistics`` or a thread pool, no command
+    loads ``numpy.ma`` (numpy 2.4's plain ``np.unique`` imports it), and
+    only ``simulate`` loads ``numpy.random``."""
     inputs = ["--edges", str(sim_dir / "edges.csv"),
               "--achievements", str(sim_dir / "achievements.csv")]
     argv = {

@@ -34,7 +34,8 @@ from peerfx import (
 )
 from peerfx import fileio
 from peerfx import panel as panel_mod
-from peerfx.panel import _first_friend, _sd_block_rows, _sd_blocks, _sd_pairs
+from peerfx.panel import (_first_friend, _fisher_yates_prefix, _Pcg64, _sd_block_rows,
+                          _sd_blocks, _sd_pairs)
 
 from conftest import adjacency_oracle, first_friend_oracle, random_edges
 
@@ -153,6 +154,16 @@ def test_groups_deterministic_and_disjoint():
         a.control.tolist() != c.control.tolist()
 
 
+def numpy_prefix(pool, k, rng):
+    """The Fisher-Yates prefix drawn with a ``np.random.Generator``."""
+    arr = pool.copy()
+    draws = rng.integers(0, arr.size - np.arange(k))
+    for i in range(k):
+        j = i + int(draws[i])
+        arr[i], arr[j] = arr[j], arr[i]
+    return np.sort(arr[:k])
+
+
 def test_group_sampling_matches_shuffle_prefix():
     # reference route: Fisher-Yates prefix replayed on independently
     # computed pools with the same generator (treatment drawn first)
@@ -172,20 +183,66 @@ def test_group_sampling_matches_shuffle_prefix():
 
     k, seed = 5, 123
     rng = np.random.default_rng(seed)
-
-    def prefix(pool):
-        arr = pool.copy()
-        draws = rng.integers(0, arr.size - np.arange(k))
-        for i in range(k):
-            j = i + int(draws[i])
-            arr[i], arr[j] = arr[j], arr[i]
-        return np.sort(arr[:k])
-
-    want_treat = prefix(treat_pool)
-    want_control = prefix(control_pool)
+    want_treat = numpy_prefix(treat_pool, k, rng)
+    want_control = numpy_prefix(control_pool, k, rng)
     got = assign_groups(net, sched, k, seed=seed)
     assert got.treatment.tolist() == want_treat.tolist()
     assert got.control.tolist() == want_control.tolist()
+
+
+class _CountingPcg64(_Pcg64):
+    """The stream, counting the 32-bit words it takes."""
+
+    calls = 0
+
+    def _next32(self):
+        self.calls += 1
+        return super()._next32()
+
+
+# 2**130 has five 32-bit words, one more than SeedSequence's pool
+DRAW_SEEDS = [0, 1, 2**32, 2**64 + 1, 2**130]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_draws_equal_default_rng_bit_for_bit(seed):
+    # bounds 0, 1, 2, 2**31 and 2**32 - 2 (``integers`` excludes ``high``);
+    # the bound 2**31 rejects about half of its 32-bit words
+    highs = np.array([1, 2, 3, 2**31 + 1, 2**32 - 1] * 4 + [2**31 + 1] * 40)
+    rng, want = _CountingPcg64(seed), np.random.default_rng(seed)
+    got = [rng.below(h) for h in highs.tolist()]
+    assert got == want.integers(0, highs).tolist()
+    assert rng.calls > np.count_nonzero(highs > 1)  # the rejection loop ran
+    # a second array from the same state, after the buffered half (if any)
+    highs = 4_000_000_000 - np.arange(50)
+    assert [rng.below(h) for h in highs.tolist()] == want.integers(0, highs).tolist()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7])
+def test_two_prefixes_share_one_stream_and_its_buffered_half(k):
+    # a bound of at most 1000 rejects a word with odds below 2**-22, so these
+    # seeds take one word per draw, except for the last place of a whole-pool
+    # shuffle (k = 7), whose one value numpy draws no word for; an odd count
+    # leaves the high half buffered for the second prefix
+    pool, other = np.arange(100, 107), np.arange(500, 1500)
+    words = min(k, pool.size - 1)
+    for seed in DRAW_SEEDS:
+        rng, want = _CountingPcg64(seed), np.random.default_rng(seed)
+        first = _fisher_yates_prefix(pool, k, rng)
+        assert (rng.calls, rng._high is not None) == (words, words % 2 == 1)
+        second = _fisher_yates_prefix(other, 30, rng)
+        assert first.tolist() == numpy_prefix(pool, k, want).tolist()
+        assert second.tolist() == numpy_prefix(other, 30, want).tolist()
+
+
+def test_draw_bound_and_seed_outside_the_port_are_rejected():
+    with pytest.raises(InvalidParameterError, match="above"):
+        _Pcg64(0).below(2**32)
+    net = build_network([(1, 2, 0), (2, 3, 0)])
+    sched = AdoptionSchedule("SMB", np.array([1], dtype=np.int64),
+                             np.array([5], dtype=np.int64))
+    with pytest.raises(InvalidParameterError, match="seed must be non-negative, got -1"):
+        assign_groups(net, sched, n_per_group=1, seed=-1)
 
 
 def test_groups_insufficient_pool():

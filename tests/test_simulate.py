@@ -48,6 +48,7 @@ def small_cfg(**kw):
     dict(old_edge_fraction=1.5),
     dict(key_player_share=0.0),
     dict(game=""),
+    dict(seed=-1),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(InvalidParameterError):
