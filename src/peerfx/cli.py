@@ -318,14 +318,14 @@ def cmd_playtime(cfg: RunConfig) -> int:
         fit = estimator.playtime_fit(sub, variant=k, threads=cfg.threads)
         fits.append((f"({k}) {game}", fit))
         named.append((f"playtime_v{k}", fit))
-    text = report.playtime_report(fits)
+    text = report.playtime_report(fits, games)
     out = cfg.out or "."
     fileio.write_text(os.path.join(out, "playtime_report.txt"), text)
     fileio.write_estimates_csv(os.path.join(out, "playtime_estimates.csv"),
                                report.estimates_csv_rows(named))
     fileio.write_json(os.path.join(out, "playtime_meta.json"),
-                      {"excluded": diagnostics, "rows": len(rows),
-                       "games": games})
+                      {"excluded": diagnostics, "rows": len(rows), "games": games,
+                       "dropped": {name: list(fit.dropped) for name, fit in named}})
     sys.stdout.write(text)
     print(f"wrote {os.path.join(out, 'playtime_report.txt')}, "
           f"{os.path.join(out, 'playtime_estimates.csv')} and "

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (InsufficientClustersError, InvalidParameterError,
                      RankDeficientError, WeakIdentificationError)
+from .fileio import OWNS_PREFIX
 
 _BLOCK_ROWS = 1 << 20  # fixed reduction block for deterministic accumulation
 _DEGENERATE_RTOL = 1e-8
@@ -524,10 +525,6 @@ def heterogeneity_fit(panel, method: str = "2sls", threads: int = 1) -> FitResul
     raise InvalidParameterError(f"unknown method {method!r}")
 
 
-PLAYTIME_COVARIATES = ("num_games", "num_groups", "start_week", "num_friends",
-                       "owns_smb", "owns_nv")
-
-
 def playtime_fit(rows, variant: int = 2, threads: int = 1) -> FitResult:
     """Cross-sectional OLS of log playtime with HC1 standard errors.
 
@@ -535,9 +532,9 @@ def playtime_fit(rows, variant: int = 2, threads: int = 1) -> FitResult:
     table indexed by field name will do).  Variants select the peer
     dummies: 1 = no_friend_purchase only; 2/3/4 = kp_purchase +
     of_purchase + no_friend_purchase (3 and 4 are meant for game-restricted
-    row subsets — the caller filters the rows).  The covariate vector and an
-    intercept always enter; covariates without variation in the sample are
-    dropped with a diagnostic.
+    row subsets — the caller filters the rows).  The account covariates,
+    every ``owns_`` field in table order and an intercept always enter;
+    covariates without variation in the sample are dropped with a diagnostic.
     """
     if variant not in (1, 2, 3, 4):
         raise InvalidParameterError("variant must be 1..4")
@@ -545,7 +542,9 @@ def playtime_fit(rows, variant: int = 2, threads: int = 1) -> FitResult:
         raise InvalidParameterError("empty playtime cross-section")
     dummies = ("no_friend_purchase",) if variant == 1 else \
         ("kp_purchase", "of_purchase", "no_friend_purchase")
-    names = (*dummies, *PLAYTIME_COVARIATES)
+    fields = rows.dtype.names if hasattr(rows, "dtype") else rows
+    names = (*dummies, "num_games", "num_groups", "start_week", "num_friends",
+             *(c for c in fields if c.startswith(OWNS_PREFIX)))
     spec = DesignSpec(outcome="log_playtime", exog=names, fixed_effects=(),
                       cluster=None)
     fit = ols_fit(rows, spec, threads=threads)

@@ -4,7 +4,8 @@ Every input file -- CSV tables, the node filter, the panel's JSON sidecar
 and the ``--config`` file -- is opened by ``_open_read``, the one place that
 decodes input and maps its failures to errors naming the path.  Every CSV
 table is read by ``_read_table`` (one structured ``loadtxt``) and written
-by ``_write_table``; only the estimates writer (report precision) differs.
+by ``_write_table``; only the estimates writer (report precision) differs,
+and it quotes a term as ``_write_table`` quotes a text cell.
 All writers are atomic (temp file in the target directory + rename), so a
 killed run never leaves a partial file at the final path.  Paths ending in
 ``.gz`` are transparently gzip-compressed where the format allows it.
@@ -193,13 +194,15 @@ def _raise_first_bad_row(path, header, kinds):
                     raise ParseError(f"{name}: expected {want}, got {cell!r}", line)
 
 
+WEEK_SECONDS = 604800
+OWNS_PREFIX = "owns_"
 _EDGE_HEADER = ("player_a", "player_b", "formed_unix")
 _ACHIEVEMENT_HEADER = ("player_id", "game", "unlocked_unix")
 _PLAYTIME_HEADER = ("player_id", "game", "playtime_minutes")
 _COVARIATE_HEADER = ("player_id", "num_games", "num_groups", "start_week")
 
 # rows formatted per block: bounds the transient strings of a large table
-_WRITE_BLOCK = 4096
+_WRITE_BLOCK = 2048
 
 
 # a text cell holding one of these is quoted (RFC 4180)
@@ -262,13 +265,13 @@ def read_edges_csv(path, epoch_unix: int = 0):
                    f"a Unix time at or after the epoch {epoch_unix}", np.int64)
     a, b, week = _read_table(path, _EDGE_HEADER, (_ID, _ID, since_epoch))
     week -= epoch_unix  # in place: the table's Unix-time field becomes the week
-    week //= 604800
+    week //= WEEK_SECONDS
     return a, b, week
 
 
 def write_edges_csv(path, a, b, formed_week, epoch_unix: int = 0):
     unix = np.array(formed_week, dtype=np.int64)  # a copy, converted in place
-    unix *= 604800
+    unix *= WEEK_SECONDS
     unix += epoch_unix
     _write_table(path, _EDGE_HEADER, (a, b, unix))
 
@@ -287,7 +290,7 @@ def read_achievements_csv(path):
 
 
 def write_achievements_csv(path, players, games, weeks, epoch_unix: int = 0):
-    unix = np.asarray(weeks, dtype=np.int64) * 604800 + epoch_unix
+    unix = np.asarray(weeks, dtype=np.int64) * WEEK_SECONDS + epoch_unix
     _write_table(path, _ACHIEVEMENT_HEADER, (players, games, unix))
 
 
@@ -298,6 +301,11 @@ def read_playtime_csv(path):
 
 def write_playtime_csv(path, players, games, minutes):
     _write_table(path, _PLAYTIME_HEADER, (players, games, minutes))
+
+
+def owns_column(game: str) -> str:
+    """The name of ``game``'s ownership control in the playtime table."""
+    return OWNS_PREFIX + game.lower()
 
 
 def read_covariates_csv(path):
@@ -434,4 +442,4 @@ def write_estimates_csv(path, rows):
     with atomic_write(path) as fh:
         fh.write("term,estimate,se,stat\n")
         for term, est, se, stat in rows:
-            fh.write(f"{term},{fmt(est)},{fmt(se)},{fmt(stat)}\n")
+            fh.write(f"{_quote(term)},{fmt(est)},{fmt(se)},{fmt(stat)}\n")

@@ -18,12 +18,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DivergedError, InvalidParameterError, NotFoundError
+from .fileio import WEEK_SECONDS
 from .settings import TagConfig
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-WEEK_SECONDS = 604800
 
 # Platform maximum friends; configurable in build_network.
 DEFAULT_DEGREE_CAP = 2000

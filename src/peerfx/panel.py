@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientPoolError, InvalidParameterError, ParseError
-from .fileio import PanelDataset
+from .fileio import PanelDataset, owns_column
 from .graph import (NEVER, PeerTags, TemporalNetwork, _lookup, _unique, as_columns,
                     week_of_unix)
 from .settings import PanelConfig
@@ -597,12 +597,12 @@ def build_panel(net: TemporalNetwork, schedule: AdoptionSchedule, tags: PeerTags
     return PanelDataset(player_col, week_col, columns, meta)
 
 
-PLAYTIME_DTYPE = np.dtype([
+PLAYTIME_FIELDS = (
     ("player", np.int64), ("game", object), ("log_playtime", np.float64),
     ("kp_purchase", np.int64), ("of_purchase", np.int64),
     ("no_friend_purchase", np.int64), ("num_games", np.float64),
     ("num_groups", np.float64), ("start_week", np.float64),
-    ("num_friends", np.int64), ("owns_smb", np.int64), ("owns_nv", np.int64)])
+    ("num_friends", np.int64))
 
 
 def _first_friend(net: TemporalNetwork, p_all: np.ndarray, idx: np.ndarray):
@@ -654,7 +654,9 @@ def build_playtime_crosssection(net: TemporalNetwork, schedule_by_game: dict,
 
     ``playtimes`` is a (player, game, minutes) array triple in any row order;
     ``covariates`` is the columnar dict from the covariates CSV.  Records
-    follow sorted (player, game) order with the fields of ``PLAYTIME_DTYPE``.
+    follow sorted (player, game) order with the fields of ``PLAYTIME_FIELDS``,
+    then one int64 ``owns_column(g)`` per game ``g`` of ``schedule_by_game``
+    in its order (two games may not share one).
     A (player, game) pair given more than once keeps its last row; the
     earlier rows are counted as ``duplicate``.  Players outside the network,
     without an own purchase week for the game, with playtime below one
@@ -662,6 +664,12 @@ def build_playtime_crosssection(net: TemporalNetwork, schedule_by_game: dict,
     of those reasons (in ``diagnostics`` when a dict is passed).  Log
     playtime is over hours floored at 1 (so logs are >= 0).
     """
+    owns = {}  # ownership control -> its game
+    for g in schedule_by_game:
+        column = owns_column(g)
+        if owns.setdefault(column, g) != g:
+            raise InvalidParameterError(
+                f"games {owns[column]!r} and {g!r} share the ownership control {column!r}")
     player, game, minutes = (np.asarray(c, dtype=t) for c, t in
                              zip(playtimes, (np.int64, str, np.float64)))
     names, code = np.unique(game, return_inverse=True)
@@ -696,15 +704,9 @@ def build_playtime_crosssection(net: TemporalNetwork, schedule_by_game: dict,
         kp[hit], of[hit], nf[hit] = _first_friend_dummies(
             net, tags, kp_mask, schedule.weeks_for(net.nodes), node_pos[hit])
 
-    def owns(g):
-        schedule = schedule_by_game.get(g)
-        if schedule is None:
-            return np.zeros(player.size, dtype=bool)
-        return schedule.weeks_for(player) != NEVER
-
     return np.rec.fromarrays(
         [player, game, np.log(np.maximum(minutes / 60.0, 1.0)), kp, of, nf,
          covariates["num_games"][cov_pos], covariates["num_groups"][cov_pos],
          covariates["start_week"][cov_pos], net.degrees()[node_pos],
-         owns("SMB"), owns("NV")],
-        dtype=PLAYTIME_DTYPE)
+         *(sched.weeks_for(player) != NEVER for sched in schedule_by_game.values())],
+        dtype=[*PLAYTIME_FIELDS, *((c, np.int64) for c in owns)])

@@ -11,18 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 from .estimator import FitResult
+from .fileio import owns_column
 
 RULE = "-"
+DECIMALS = 4
+COL_WIDTH = 16
 
 
-def format_cell(estimate: float, se: float, decimals: int = 4) -> tuple:
+def format_cell(estimate: float, se: float) -> tuple:
     """("0.0733", "(0.0008)") — the two stacked lines of one table cell."""
-    return (f"{estimate:.{decimals}f}", f"({se:.{decimals}f})")
+    return (f"{estimate:.{DECIMALS}f}", f"({se:.{DECIMALS}f})")
 
 
 def render_estimate_table(columns, rows, extras=(), title: str | None = None,
-                          decimals: int = 4, label_width: int = 30,
-                          col_width: int = 16) -> str:
+                          label_width: int = 30) -> str:
     """Fixed-width table of stacked estimate/(se) cells.
 
     columns: sequence of (header, FitResult); rows: sequence of
@@ -30,28 +32,28 @@ def render_estimate_table(columns, rows, extras=(), title: str | None = None,
     extras: sequence of (label, {header: text}) appended under a rule.
     """
     headers = [h for h, _ in columns]
-    total = label_width + col_width * len(columns)
+    total = label_width + COL_WIDTH * len(columns)
     out = []
     if title:
         out.append(title.center(total).rstrip())
         out.append(RULE * total)
-    out.append(" " * label_width + "".join(h.rjust(col_width) for h in headers))
+    out.append(" " * label_width + "".join(h.rjust(COL_WIDTH) for h in headers))
     sub = []
     for _, fit in columns:
         label = _outcome_label(fit)
-        sub.append((f"({label})" if label else "").rjust(col_width))
+        sub.append((f"({label})" if label else "").rjust(COL_WIDTH))
     out.append(" " * label_width + "".join(sub))
     out.append(RULE * total)
     for term, label in rows:
         top, bottom = [], []
         for _, fit in columns:
             if term in fit.terms:
-                est, se = format_cell(fit.coef_of(term), fit.se_of(term), decimals)
-                top.append(est.rjust(col_width))
-                bottom.append(se.rjust(col_width))
+                est, se = format_cell(fit.coef_of(term), fit.se_of(term))
+                top.append(est.rjust(COL_WIDTH))
+                bottom.append(se.rjust(COL_WIDTH))
             else:
-                top.append("".rjust(col_width))
-                bottom.append("".rjust(col_width))
+                top.append("".rjust(COL_WIDTH))
+                bottom.append("".rjust(COL_WIDTH))
         out.append(label.ljust(label_width)[:label_width] + "".join(top))
         out.append(" " * label_width + "".join(bottom))
     if extras:
@@ -59,7 +61,7 @@ def render_estimate_table(columns, rows, extras=(), title: str | None = None,
         for label, cells in extras:
             line = [label.ljust(label_width)[:label_width]]
             for header, _ in columns:
-                line.append(str(cells.get(header, "")).rjust(col_width))
+                line.append(str(cells.get(header, "")).rjust(COL_WIDTH))
             out.append("".join(line))
     out.append(RULE * total)
     return "\n".join(line.rstrip() for line in out) + "\n"
@@ -121,20 +123,19 @@ PLAYTIME_LABELS = [
     ("num_groups", "Group memberships"),
     ("start_week", "Account start week"),
     ("num_friends", "Friend count"),
-    ("owns_smb", "Owns SMB"),
-    ("owns_nv", "Owns NV"),
-    ("const", "Constant"),
 ]
 
 
-def playtime_report(fits) -> str:
-    """Log-playtime regressions, one column per (variant, sample) pair."""
+def playtime_report(fits, games) -> str:
+    """Log-playtime regressions, one column per (variant, sample) pair; the
+    ownership control of each of ``games`` is labelled ``Owns <game>``."""
     columns = []
     for label, fit in fits:
         fit.stats.setdefault("outcome_label", "log hours")
         columns.append((label, fit))
-    rows = [(t, lbl) for t, lbl in PLAYTIME_LABELS
-            if any(t in f.terms for _, f in columns)]
+    labels = [*PLAYTIME_LABELS, *((owns_column(g), f"Owns {g}") for g in games),
+              ("const", "Constant")]
+    rows = [(t, lbl) for t, lbl in labels if any(t in f.terms for _, f in columns)]
     extras = [("Observations", {h: f"{f.n_obs:,}" for h, f in columns})]
     return render_estimate_table(columns, rows, extras,
                                  title="Playtime by first-purchase channel",

@@ -2,6 +2,8 @@
 and byte-level determinism.  One report is frozen as a golden file."""
 
 import argparse
+import ast
+import csv
 import dataclasses
 import filecmp
 import gzip
@@ -628,6 +630,10 @@ def test_heterogeneity_and_playtime_commands(panel_path, sim_dir, tmp_path):
     meta = fileio.read_json(ptout / "playtime_meta.json")
     assert meta["rows"] > 0
     assert meta["games"][0] == "SMB"
+    # of_purchase is flat in this small world, so it is dropped too
+    assert {k: [t for t in v if t.startswith("owns_")] for k, v in meta["dropped"].items()} \
+        == {"playtime_v1": [], "playtime_v2": [],
+            "playtime_v3": ["owns_smb"], "playtime_v4": ["owns_nv"]}
     text = (ptout / "playtime_report.txt").read_text()
     assert "No friend owned at purchase" in text
 
@@ -654,6 +660,80 @@ def test_playtime_counts_repeated_rows_as_duplicates(sim_dir, tmp_path):
     # the last row wins: one minute floors to log 0, unlike the first row
     assert (tmp_path / "once" / "playtime_estimates.csv").read_bytes() != \
         (tmp_path / "twice" / "playtime_estimates.csv").read_bytes()
+
+
+def _playtime(sim, out, *flags):
+    return main(["playtime", "--edges", str(sim / "edges.csv"),
+                 "--achievements", str(sim / "achievements.csv"),
+                 "--playtime", str(sim / "playtime.csv"),
+                 "--covariates", str(sim / "covariates.csv"), *flags, "--out", str(out)])
+
+
+def test_playtime_controls_are_the_run_games(tmp_path):
+    """Games not named as the simulator's defaults each keep an ownership
+    control; a game's own fit drops its control as flat, and the meta file
+    lists each fit's dropped terms."""
+    sim, out = tmp_path / "sim", tmp_path / "pt"
+    assert main(["simulate", "--out", str(sim), "--n-players", "6000",
+                 "--sim-games", "HK,SKY", "--game", "HK", "--seed", "3"]) == 0
+    assert _playtime(sim, out, "--release-week", "60", "--game", "HK") == 0
+    owns = {}
+    for line in (out / "playtime_estimates.csv").read_text().splitlines()[1:]:
+        model, term = line.split(",")[0].split(".")
+        owns.setdefault(model, [])
+        if term.startswith("owns_"):
+            owns[model].append(term)
+    assert owns == {"playtime_v1": ["owns_hk", "owns_sky"],
+                    "playtime_v2": ["owns_hk", "owns_sky"],
+                    "playtime_v3": ["owns_sky"], "playtime_v4": ["owns_hk"]}
+    meta = fileio.read_json(out / "playtime_meta.json")
+    assert meta["games"] == ["HK", "SKY"]
+    assert meta["dropped"] == {"playtime_v1": [], "playtime_v2": [],
+                               "playtime_v3": ["owns_hk"], "playtime_v4": ["owns_sky"]}
+    text = (out / "playtime_report.txt").read_text()
+    assert "Owns HK" in text and "Owns SKY" in text
+
+
+def test_playtime_estimates_quote_a_term_holding_a_comma(sim_dir, tmp_path):
+    renamed = tmp_path / "sim"
+    renamed.mkdir()
+    for name in ("edges.csv", "achievements.csv", "playtime.csv", "covariates.csv"):
+        text = (sim_dir / name).read_text()
+        (renamed / name).write_text(text.replace(",NV,", ',"Warhammer 40,000",'))
+    assert _playtime(renamed, tmp_path / "pt", "--release-week", "10") == 0
+    with open(tmp_path / "pt" / "playtime_estimates.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {4}
+    assert "playtime_v1.owns_warhammer 40,000" in [row[0] for row in rows]
+    meta = fileio.read_json(tmp_path / "pt" / "playtime_meta.json")
+    assert meta["games"] == ["SMB", "Warhammer 40,000"]
+
+
+def test_playtime_games_sharing_a_control_name_are_exit_1(sim_dir, tmp_path, capsys):
+    both = tmp_path / "sim"
+    both.mkdir()
+    for name in ("edges.csv", "covariates.csv"):
+        shutil.copy(sim_dir / name, both / name)
+    for name in ("achievements.csv", "playtime.csv"):
+        lines = (sim_dir / name).read_text().splitlines()
+        lines.append(next(line for line in lines if ",SMB," in line).replace(",SMB,", ",smb,"))
+        (both / name).write_text("\n".join(lines) + "\n")
+    assert _playtime(both, tmp_path / "pt", "--release-week", "10") == 1
+    err = capsys.readouterr().err
+    assert "error (InvalidParameterError)" in err and "'SMB' and 'smb'" in err
+    assert not (tmp_path / "pt").exists()
+
+
+def test_pipeline_modules_hold_no_game_name():
+    """The panel builder, the estimator and the report take the run's games
+    from its inputs; only the settings name the simulated world's games."""
+    for module in ("panel", "estimator", "report"):
+        path = os.path.join(os.path.dirname(__file__), "..", "src", "peerfx", f"{module}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        names = {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and node.value in ("SMB", "NV")}
+        assert not names, (module, names)
 
 
 # the last bad cell is in x_kp, a column estimate checks but does not keep

@@ -26,8 +26,8 @@ from peerfx import (
     tsls_fit,
     within_transform,
 )
-from peerfx.estimator import _DEGENERATE_RTOL, PLAYTIME_COVARIATES, _max_abs
-from peerfx.panel import PLAYTIME_DTYPE
+from peerfx.estimator import _DEGENERATE_RTOL, _max_abs
+from peerfx.panel import PLAYTIME_FIELDS
 
 from conftest import (
     cr1_sandwich_fractions,
@@ -713,6 +713,10 @@ def test_flat_scale_does_not_wrap_at_an_integer_minimum(values, want):
 # playtime cross-section fit
 
 
+# the record layout build_playtime_crosssection gives a run of games SMB, NV
+PLAYTIME_DTYPE = np.dtype([*PLAYTIME_FIELDS, ("owns_smb", np.int64), ("owns_nv", np.int64)])
+
+
 def make_rows(rng, n=20, flat_nv=True):
     rows = []
     for i in range(n):
@@ -803,7 +807,8 @@ def test_playtime_flat_decisions_and_fits_match_the_centred_copy_rule(variant):
     fit = playtime_fit(rows, variant=variant)
     names = [t for t in (*(("no_friend_purchase",) if variant == 1 else
                            ("kp_purchase", "of_purchase", "no_friend_purchase")),
-                         *PLAYTIME_COVARIATES)]
+                         "num_games", "num_groups", "start_week", "num_friends",
+                         "owns_smb", "owns_nv")]
     assert fit.dropped == tuple(c for c in names if centred_flat(rows[c]))
     assert fit.dropped == ("num_games", "num_groups", "owns_smb", "owns_nv")
     kept = tuple(c for c in names if c not in fit.dropped)

@@ -921,8 +921,29 @@ def test_playtime_rows_no_friend_case():
     r = rows[0]
     assert (r.no_friend_purchase, r.kp_purchase, r.of_purchase) == (1, 0, 0)
     assert r.log_playtime == pytest.approx(np.log(2.0))
-    assert (r.owns_smb, r.owns_nv) == (1, 0)
+    assert rows.dtype.names[-1:] == ("owns_smb",) and r.owns_smb == 1
     assert r.num_friends == 1
+
+
+def test_playtime_controls_follow_the_schedule_order():
+    net = build_network([(1, 2, 0)])
+    sched = {g: AdoptionSchedule(g, np.array(buyers, dtype=np.int64),
+                                 np.full(len(buyers), 5, dtype=np.int64))
+             for g, buyers in (("Sky", [1]), ("HK", [1, 2]))}
+    rows = build_playtime_crosssection(net, sched, make_tags(),
+                                       ([1, 2], ["HK", "HK"], [60, 60]), cov_for([1, 2]))
+    assert rows.dtype.names[-2:] == ("owns_sky", "owns_hk")
+    assert rows.owns_sky.tolist() == [1, 0] and rows.owns_hk.tolist() == [1, 1]
+
+
+def test_playtime_games_sharing_a_control_name_are_rejected():
+    net = build_network([(1, 2, 0)])
+    sched = {g: AdoptionSchedule(g, np.array([1], dtype=np.int64),
+                                 np.array([5], dtype=np.int64)) for g in ("SMB", "NV", "smb")}
+    with pytest.raises(InvalidParameterError,
+                       match="games 'SMB' and 'smb' share the ownership control 'owns_smb'"):
+        build_playtime_crosssection(net, sched, make_tags(), ([1], ["SMB"], [60]),
+                                    cov_for([1, 2]))
 
 
 def test_playtime_first_friend_can_be_both_kp_and_of():
